@@ -44,7 +44,7 @@ int Main(int argc, char** argv) {
     }
     FdSet canonical = CanonicalCover(res.fds, r.num_cols());
     Timer timer;
-    std::vector<FdRedundancy> reds = ComputeFdRedundancies(r, canonical);
+    std::vector<FdRedundancy> reds = ComputeCoverRedundancy(r, canonical).per_fd;
     double seconds = timer.seconds();
     RedundancyHistogram with_nulls =
         BuildRedundancyHistogram(reds, RedundancyMode::kWithNulls);

@@ -7,6 +7,7 @@
 #include "bench_util.h"
 
 #include "fd/cover.h"
+#include "util/timer.h"
 
 namespace dhyfd::bench {
 namespace {
@@ -46,13 +47,16 @@ int Main(int argc, char** argv) {
                   "measured", static_cast<long long>(res.fds.size()),
                   static_cast<long long>(max_cover));
     } else {
-      CoverStats stats = ComputeCoverStats(res.fds, r.num_cols());
+      Timer timer;
+      FdSet canonical = CanonicalCover(res.fds, r.num_cols());
+      double seconds = timer.seconds();
+      CoverStats stats = ComputeCoverStats(res.fds, canonical);
       std::printf("%-11s %-9s %9lld %10lld %9lld %10lld %6.0f %6.0f %9.3f\n", "",
                   "measured", static_cast<long long>(stats.left_reduced_count),
                   static_cast<long long>(stats.left_reduced_occurrences),
                   static_cast<long long>(stats.canonical_count),
                   static_cast<long long>(stats.canonical_occurrences),
-                  stats.percent_size, stats.percent_card, stats.seconds);
+                  stats.percent_size, stats.percent_card, seconds);
     }
     PrintRule(88);
     std::fflush(stdout);

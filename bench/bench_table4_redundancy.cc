@@ -51,7 +51,7 @@ int Main(int argc, char** argv) {
                   static_cast<long long>(max_cover));
     } else {
       FdSet canonical = CanonicalCover(res.fds, r.num_cols());
-      DatasetRedundancy d = ComputeDatasetRedundancy(r, canonical);
+      DatasetRedundancy d = ComputeCoverRedundancy(r, canonical).dataset;
       std::printf("%-11s %-9s %13lld %12lld %7.2f %12lld %8.2f\n", "", "measured",
                   static_cast<long long>(d.num_values), static_cast<long long>(d.red),
                   d.percent_red(), static_cast<long long>(d.red_plus0),

@@ -7,20 +7,21 @@
 #                          header/dot drift gate, and a typo'd-constant smoke
 #                          that must FAIL to compile
 #   3. tier-1            — full -Werror build + every ctest
-#   3. bench             — build-only compile of every bench/ harness
-#   4. tsan              — concurrency tests under ThreadSanitizer, including
+#   4. bench             — build-only compile of every bench/ harness
+#   5. tsan              — concurrency tests under ThreadSanitizer, including
 #                          the net server round-trip + backpressure suite
-#   5. asan              — partition-arena tests, the wire-framing
+#   6. asan              — partition-arena tests, the wire-framing
 #                          negative/fuzz-ish suite (incl. the query payload
-#                          negatives), and the query lattice under ASan
-#   6. ubsan             — bit-twiddling kernels under UBSan (non-recoverable)
-#   7. thread-safety     — Clang Thread Safety Analysis as errors over src/,
+#                          negatives), the query lattice, the single rank
+#                          pass and the input-width negatives under ASan
+#   7. ubsan             — bit-twiddling kernels under UBSan (non-recoverable)
+#   8. thread-safety     — Clang Thread Safety Analysis as errors over src/,
 #                          plus a seeded mis-annotation that must FAIL to
 #                          compile (skipped with a notice when clang++ is not
 #                          installed; the annotations compile to nothing off
 #                          Clang, so the tree itself is unaffected)
-#   8. obs               — --trace export produces valid Chrome trace JSON
-#   9. tidy (opt-in)     — ./ci.sh --tidy runs clang-tidy over src/ via the
+#   9. obs               — --trace export produces valid Chrome trace JSON
+#  10. tidy (opt-in)     — ./ci.sh --tidy runs clang-tidy over src/ via the
 #                          compile database (needs clang-tidy installed)
 #
 # Usage: ./ci.sh [jobs] [--tidy]
@@ -121,7 +122,7 @@ echo "=== asan: partition arena indexing under AddressSanitizer ==="
 cmake -B build-asan -S . -DDHYFD_SANITIZE=address -DDHYFD_WERROR=ON
 cmake --build build-asan -j "$JOBS" --target \
   partition_test partition_cache_test partition_intersect_test \
-  net_wire_test query_test
+  net_wire_test query_test redundancy_test robustness_test live_profile_test
 ./build-asan/tests/partition_test
 ./build-asan/tests/partition_cache_test
 ./build-asan/tests/partition_intersect_test
@@ -134,6 +135,13 @@ cmake --build build-asan -j "$JOBS" --target \
 # query_test drives the top-k lattice and the g3 removal counter, both of
 # which walk the shared CSR arena with raw cursors.
 ./build-asan/tests/query_test
+# The single rank pass marks dataset cells at raw row * cols + attr offsets
+# (redundancy_test); the input-width negatives (257 columns, short and long
+# insert rows) used to index past an AttributeSet or a row (robustness_test,
+# live_profile_test).
+./build-asan/tests/redundancy_test
+./build-asan/tests/robustness_test
+./build-asan/tests/live_profile_test
 
 echo
 echo "=== ubsan: bit-twiddling kernels under UBSan (no recovery) ==="

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     std::string detail;
     if (h->state() == JobState::kDone) {
       const ProfileReport& rep = h->report();
-      detail = "|L-r|=" + std::to_string(rep.left_reduced.size()) +
+      detail = "|L-r|=" + std::to_string(rep.discovery.fds.size()) +
                " |Can|=" + std::to_string(rep.canonical.size());
       if (rep.discovery.stats.timed_out) detail += " (timed out: partial)";
     } else if (h->state() == JobState::kFailed) {

@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
               eq.null_stats.incomplete_columns);
   std::printf("%-14s %14s %14s\n", "", "null = null", "null != null");
   std::printf("%-14s %14lld %14lld\n", "|L-r|",
-              static_cast<long long>(eq.left_reduced.size()),
-              static_cast<long long>(neq.left_reduced.size()));
+              static_cast<long long>(eq.discovery.fds.size()),
+              static_cast<long long>(neq.discovery.fds.size()));
   std::printf("%-14s %14lld %14lld\n", "|Can|",
               static_cast<long long>(eq.canonical.size()),
               static_cast<long long>(neq.canonical.size()));
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   // under null != null — they hold only because null collisions no longer
   // create violating pairs.
   const int n = eq.schema.size();
-  ClosureEngine eq_closure(eq.left_reduced, n);
+  ClosureEngine eq_closure(eq.discovery.fds, n);
   std::printf("\nFDs gained under null != null (their violations were pairs "
               "of matching null markers):\n");
   int shown = 0;

@@ -1,6 +1,7 @@
 #include "core/profiler.h"
 
 #include <sstream>
+#include <utility>
 
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
@@ -61,9 +62,8 @@ ProfileReport Profiler::profile(const Relation& relation) const {
     TraceSpan span(kObsProfileDiscover);
     report.discovery = algo->discover(relation);
   }
-  report.left_reduced = report.discovery.fds;
   report.timings.discover_seconds = timer.seconds();
-  ObsAdd(kObsDiscoverFds, report.left_reduced.size());
+  ObsAdd(kObsDiscoverFds, report.discovery.fds.size());
   if (options_.stage_hook) {
     options_.stage_hook(ProfileStage::kDiscover, report.timings.discover_seconds);
   }
@@ -75,11 +75,11 @@ ProfileReport Profiler::profile(const Relation& relation) const {
     return report;
   }
 
-  if (options_.compute_canonical) {
+  if (!options_.canonicalize_and_rank) return report;
+  {
     timer.reset();
     TraceSpan span(kObsProfileCanonical);
-    report.cover_stats = ComputeCoverStats(report.left_reduced, relation.num_cols());
-    report.canonical = CanonicalCover(report.left_reduced, relation.num_cols());
+    report.canonical = CanonicalCover(report.discovery.fds, relation.num_cols());
     report.timings.canonical_seconds = timer.seconds();
     if (options_.stage_hook) {
       options_.stage_hook(ProfileStage::kCanonical,
@@ -91,13 +91,12 @@ ProfileReport Profiler::profile(const Relation& relation) const {
     }
   }
 
-  if (options_.compute_ranking) {
-    const FdSet& cover =
-        options_.compute_canonical ? report.canonical : report.left_reduced;
+  {
     timer.reset();
     TraceSpan span(kObsProfileRank);
-    report.ranking = RankFds(relation, cover, options_.ranking_mode);
-    report.dataset_redundancy = ComputeDatasetRedundancy(relation, cover);
+    CoverRedundancy redundancy = ComputeCoverRedundancy(relation, report.canonical);
+    report.ranking = SortByRedundancy(std::move(redundancy.per_fd), options_.ranking_mode);
+    report.dataset_redundancy = redundancy.dataset;
     report.timings.ranking_seconds = timer.seconds();
     if (options_.stage_hook) {
       options_.stage_hook(ProfileStage::kRank, report.timings.ranking_seconds);
@@ -113,14 +112,15 @@ std::string ProfileReport::summary() const {
   out << "nulls: " << null_stats.null_occurrences << " occurrences in "
       << null_stats.incomplete_columns << " columns ("
       << null_stats.incomplete_rows << " incomplete rows)\n";
-  out << "left-reduced cover: |L-r|=" << left_reduced.size()
-      << "  ||L-r||=" << left_reduced.attribute_occurrences() << "  ("
+  out << "left-reduced cover: |L-r|=" << discovery.fds.size()
+      << "  ||L-r||=" << discovery.fds.attribute_occurrences() << "  ("
       << discovery.stats.seconds << " s, " << discovery.stats.memory_mb
       << " MB)\n";
-  if (!canonical.empty() || cover_stats.canonical_count > 0) {
-    out << "canonical cover:    |Can|=" << canonical.size()
-        << "  ||Can||=" << canonical.attribute_occurrences() << "  ("
-        << cover_stats.seconds << " s, " << cover_stats.percent_size
+  if (!canonical.empty()) {
+    CoverStats stats = ComputeCoverStats(discovery.fds, canonical);
+    out << "canonical cover:    |Can|=" << stats.canonical_count
+        << "  ||Can||=" << stats.canonical_occurrences << "  ("
+        << timings.canonical_seconds << " s, " << stats.percent_size
         << "% of |L-r|)\n";
   }
   if (!ranking.empty()) {

@@ -24,10 +24,9 @@ struct ProfileOptions {
   /// One of AllDiscoveryNames(); DHyFD by default.
   std::string algorithm = "dhyfd";
   NullSemantics semantics = NullSemantics::kNullEqualsNull;
-  /// Compute the canonical cover from the left-reduced one (Section V-D).
-  bool compute_canonical = true;
-  /// Rank the (canonical) cover by data redundancy (Section VI).
-  bool compute_ranking = true;
+  /// Compute the canonical cover of the discovered one (Section V-D) and
+  /// rank it by data redundancy (Section VI); false stops after discovery.
+  bool canonicalize_and_rank = true;
   RedundancyMode ranking_mode = RedundancyMode::kExcludingNullRhs;
   /// Cooperative deadline for the discovery stage in seconds (0 = none),
   /// wired into util/deadline.h exactly like the paper's TL budget.
@@ -72,11 +71,9 @@ struct StageTimings {
 struct ProfileReport {
   Schema schema;
   NullStats null_stats;
+  /// discovery.fds is the discovered left-reduced cover.
   DiscoveryResult discovery;
-  /// The discovered left-reduced cover (same as discovery.fds).
-  FdSet left_reduced;
   FdSet canonical;
-  CoverStats cover_stats;
   /// Canonical-cover FDs ranked by descending redundancy.
   std::vector<FdRedundancy> ranking;
   DatasetRedundancy dataset_redundancy;

@@ -4,8 +4,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "util/timer.h"
-
 namespace dhyfd {
 
 FdSet CanonicalCover(const FdSet& left_reduced, int num_attrs) {
@@ -86,13 +84,10 @@ bool HasUniqueLhs(const FdSet& fds) {
   return true;
 }
 
-CoverStats ComputeCoverStats(const FdSet& left_reduced, int num_attrs) {
+CoverStats ComputeCoverStats(const FdSet& left_reduced, const FdSet& canonical) {
   CoverStats stats;
   stats.left_reduced_count = left_reduced.size();
   stats.left_reduced_occurrences = left_reduced.attribute_occurrences();
-  Timer timer;
-  FdSet canonical = CanonicalCover(left_reduced, num_attrs);
-  stats.seconds = timer.seconds();
   stats.canonical_count = canonical.size();
   stats.canonical_occurrences = canonical.attribute_occurrences();
   if (stats.left_reduced_count > 0) {

@@ -39,10 +39,10 @@ struct CoverStats {
   int64_t canonical_occurrences = 0;     // ||Can||
   double percent_size = 0;               // %S = 100*|Can|/|L-r|
   double percent_card = 0;               // %C = 100*||Can||/||L-r||
-  double seconds = 0;                    // canonical-cover computation time
 };
 
-CoverStats ComputeCoverStats(const FdSet& left_reduced, int num_attrs);
+/// Counts a left-reduced cover and its already computed canonical cover.
+CoverStats ComputeCoverStats(const FdSet& left_reduced, const FdSet& canonical);
 
 }  // namespace dhyfd
 

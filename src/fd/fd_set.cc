@@ -1,6 +1,7 @@
 #include "fd/fd_set.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 
 namespace dhyfd {
@@ -31,13 +32,24 @@ FdSet FdSet::with_merged_lhs() const {
   return out;
 }
 
-void FdSet::sort() {
-  std::sort(fds.begin(), fds.end(), [](const Fd& a, const Fd& b) {
-    int ca = a.lhs.count(), cb = b.lhs.count();
-    if (ca != cb) return ca < cb;
-    if (a.lhs != b.lhs) return a.lhs < b.lhs;
-    return a.rhs < b.rhs;
-  });
+namespace {
+
+bool SortOrder(const Fd& a, const Fd& b) {
+  int ca = a.lhs.count(), cb = b.lhs.count();
+  if (ca != cb) return ca < cb;
+  if (a.lhs != b.lhs) return a.lhs < b.lhs;
+  return a.rhs < b.rhs;
+}
+
+}  // namespace
+
+void FdSet::sort() { std::sort(fds.begin(), fds.end(), SortOrder); }
+
+FdSet FdSet::minus(const FdSet& other) const {
+  FdSet out;
+  std::set_difference(fds.begin(), fds.end(), other.fds.begin(), other.fds.end(),
+                      std::back_inserter(out.fds), SortOrder);
+  return out;
 }
 
 }  // namespace dhyfd

@@ -34,6 +34,9 @@ struct FdSet {
   /// Sorts by (LHS size, LHS bits, RHS bits); gives deterministic output
   /// order for tests and reports.
   void sort();
+
+  /// The FDs of this set missing from `other`; both must be sort()ed.
+  FdSet minus(const FdSet& other) const;
 };
 
 }  // namespace dhyfd

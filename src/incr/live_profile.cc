@@ -1,6 +1,7 @@
 #include "incr/live_profile.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "algo/agree_sets.h"
 #include "algo/validator.h"
@@ -10,34 +11,6 @@
 #include "util/timer.h"
 
 namespace dhyfd {
-
-namespace {
-
-/// The deterministic total order FdSet::sort uses; set_difference over two
-/// sorted covers yields the per-batch added/removed FD lists.
-bool FdLess(const Fd& a, const Fd& b) {
-  int ca = a.lhs.count(), cb = b.lhs.count();
-  if (ca != cb) return ca < cb;
-  if (a.lhs != b.lhs) return a.lhs < b.lhs;
-  return a.rhs < b.rhs;
-}
-
-FdSet CoverMinus(const FdSet& a, const FdSet& b) {
-  FdSet out;
-  std::set_difference(a.fds.begin(), a.fds.end(), b.fds.begin(), b.fds.end(),
-                      std::back_inserter(out.fds), FdLess);
-  return out;
-}
-
-bool AnyLhsNull(const Relation& r, RowId row, const AttributeSet& lhs) {
-  bool any = false;
-  lhs.for_each([&](AttrId a) {
-    if (!any && r.is_null(row, a)) any = true;
-  });
-  return any;
-}
-
-}  // namespace
 
 LiveProfile::LiveProfile(const RawTable& initial, LiveProfileOptions options,
                          NullSemantics semantics)
@@ -135,10 +108,17 @@ void LiveProfile::minimal_valid_subsets(
 }
 
 CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
+  const int m = rel_.num_cols();
+  // Refuse a malformed batch before any state changes.
+  for (const auto& cells : batch.inserts) {
+    if (static_cast<int>(cells.size()) != m) {
+      throw std::invalid_argument("insert row has " + std::to_string(cells.size()) +
+                                  " cells for " + std::to_string(m) + " columns");
+    }
+  }
   Timer timer;
   CoverDelta delta;
   BatchStats& stats = delta.stats;
-  const int m = rel_.num_cols();
   const AttributeSet all = AttributeSet::full(m);
   const FdSet old_cover = cover_;
 
@@ -313,15 +293,13 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
     refresh_cover();
     if (options_.maintain_ranking) {
       TraceSpan rerank_span(kObsIncrRerank);
-      FdSet added = CoverMinus(cover_, old_cover);
-      FdSet removed = CoverMinus(old_cover, cover_);
-      rerank_dirty(touched_profiles, added, removed, &stats);
+      rerank_dirty(touched_profiles, old_cover.minus(cover_), &stats);
     }
     incremental_seconds_ += timer.seconds();
   }
 
-  delta.added = CoverMinus(cover_, old_cover);
-  delta.removed = CoverMinus(old_cover, cover_);
+  delta.added = cover_.minus(old_cover);
+  delta.removed = old_cover.minus(cover_);
   stats.fds_added = delta.added.size();
   stats.fds_removed = delta.removed.size();
   stats.seconds = timer.seconds();
@@ -341,8 +319,6 @@ void LiveProfile::force_rebuild() {
 }
 
 FdRedundancy LiveProfile::compute_live_redundancy(const Fd& fd) {
-  FdRedundancy red;
-  red.fd = fd;
   StrippedPartition pi;
   if (fd.lhs.empty()) {
     pi = rel_.whole_live_cluster();
@@ -356,24 +332,12 @@ FdRedundancy LiveProfile::compute_live_redundancy(const Fd& fd) {
     pi = rel_.refiner().refine_all(rel_.live_attribute_partition(best),
                                    fd.lhs - AttributeSet::single(best));
   }
-  const Relation& r = rel_.relation();
-  for (RowId row : pi.row_arena()) {
-    bool lhs_null = AnyLhsNull(r, row, fd.lhs);
-    fd.rhs.for_each([&](AttrId a) {
-      ++red.with_nulls;
-      if (!r.is_null(row, a)) {
-        ++red.excluding_null_rhs;
-        if (!lhs_null) ++red.excluding_null_lhs_rhs;
-      }
-    });
-  }
-  return red;
+  return FdRedundancyFromPartition(rel_.relation(), fd, pi);
 }
 
 void LiveProfile::rerank_dirty(const std::vector<AttributeSet>& touched_profiles,
-                               const FdSet& added, const FdSet& removed,
-                               BatchStats* stats) {
-  (void)added;  // added FDs are dirty by virtue of missing from the map
+                               const FdSet& removed, BatchStats* stats) {
+  // Added FDs are dirty by virtue of missing from the map.
   for (const Fd& fd : removed.fds) redundancy_.erase(fd);
   for (const Fd& fd : cover_.fds) {
     bool dirty = redundancy_.find(fd) == redundancy_.end();
@@ -399,8 +363,8 @@ void LiveProfile::rerank_dirty(const std::vector<AttributeSet>& touched_profiles
 void LiveProfile::full_rerank() {
   redundancy_.clear();
   // Only called when the relation is freshly compacted (no tombstones), so
-  // the batch counters can reuse the shared whole-relation implementation.
-  for (FdRedundancy& red : ComputeFdRedundancies(rel_.relation(), cover_)) {
+  // the batch counters can reuse the profiler's whole-relation pass.
+  for (FdRedundancy& red : ComputeCoverRedundancy(rel_.relation(), cover_).per_fd) {
     redundancy_.emplace(red.fd, std::move(red));
   }
   ranking_sorted_ = false;
@@ -414,11 +378,7 @@ const std::vector<FdRedundancy>& LiveProfile::ranking() const {
       auto it = redundancy_.find(fd);
       if (it != redundancy_.end()) ranking_.push_back(it->second);
     }
-    RedundancyMode mode = options_.ranking_mode;
-    std::stable_sort(ranking_.begin(), ranking_.end(),
-                     [mode](const FdRedundancy& a, const FdRedundancy& b) {
-                       return RedundancyCount(a, mode) > RedundancyCount(b, mode);
-                     });
+    ranking_ = SortByRedundancy(std::move(ranking_), options_.ranking_mode);
     ranking_sorted_ = true;
   }
   return ranking_;

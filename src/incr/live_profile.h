@@ -150,7 +150,7 @@ class LiveProfile {
 
   FdRedundancy compute_live_redundancy(const Fd& fd);
   void rerank_dirty(const std::vector<AttributeSet>& touched_profiles,
-                    const FdSet& added, const FdSet& removed, BatchStats* stats);
+                    const FdSet& removed, BatchStats* stats);
   void full_rerank();
 
   LiveProfileOptions options_;

@@ -720,8 +720,7 @@ void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
   std::shared_ptr<QueryResultSlot> query_slot =
       BindQueryToProfile(job.options, std::move(query));
   // The full-profile tail stages add nothing to a query answer.
-  job.options.compute_canonical = false;
-  job.options.compute_ranking = false;
+  job.options.canonicalize_and_rank = false;
   job.priority = msg.priority;
   job.time_limit_seconds = msg.deadline_ms / 1000.0;
   job.options.parallelism = static_cast<int>(
@@ -1106,7 +1105,7 @@ void ProfilingServer::finish_job(const PendingJob& job) {
     msg.run_seconds = job.handle->run_seconds();
     try {
       const ProfileReport& report = job.handle->report();
-      msg.cover_size = static_cast<std::uint32_t>(report.left_reduced.size());
+      msg.cover_size = static_cast<std::uint32_t>(report.discovery.fds.size());
       msg.canonical_size = static_cast<std::uint32_t>(report.canonical.size());
       msg.top = TopRanked(report.ranking, job.top_k);
       // A cancelled or deadline-expired run still finishes with a (partial)
@@ -1152,7 +1151,8 @@ void ProfilingServer::finish_update(const PendingUpdate& update) {
   fin.cost = update.handle->cost();
   if (update.handle->state() == UpdateJobState::kFailed) {
     std::string error = update.handle->error();
-    ErrCode code = error.find("unknown live dataset") != std::string::npos
+    ErrCode code = update.handle->invalid_batch() ? ErrCode::kBadRequest
+                   : error.find("unknown live dataset") != std::string::npos
                        ? ErrCode::kUnknownDataset
                        : ErrCode::kInternal;
     fin.outcome = "error";

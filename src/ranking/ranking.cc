@@ -16,14 +16,18 @@ int64_t RedundancyCount(const FdRedundancy& red, RedundancyMode mode) {
   return 0;
 }
 
-std::vector<FdRedundancy> RankFds(const Relation& r, const FdSet& cover,
-                                  RedundancyMode mode) {
-  std::vector<FdRedundancy> reds = ComputeFdRedundancies(r, cover);
+std::vector<FdRedundancy> SortByRedundancy(std::vector<FdRedundancy> reds,
+                                           RedundancyMode mode) {
   std::stable_sort(reds.begin(), reds.end(),
                    [mode](const FdRedundancy& a, const FdRedundancy& b) {
                      return RedundancyCount(a, mode) > RedundancyCount(b, mode);
                    });
   return reds;
+}
+
+std::vector<FdRedundancy> RankFds(const Relation& r, const FdSet& cover,
+                                  RedundancyMode mode) {
+  return SortByRedundancy(ComputeCoverRedundancy(r, cover).per_fd, mode);
 }
 
 RedundancyHistogram BuildRedundancyHistogram(const std::vector<FdRedundancy>& reds,

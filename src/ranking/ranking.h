@@ -23,6 +23,10 @@ int64_t RedundancyCount(const FdRedundancy& red, RedundancyMode mode);
 std::vector<FdRedundancy> RankFds(const Relation& r, const FdSet& cover,
                                   RedundancyMode mode = RedundancyMode::kExcludingNullRhs);
 
+/// Stable sort by descending redundancy: ties keep their input (cover) order.
+std::vector<FdRedundancy> SortByRedundancy(std::vector<FdRedundancy> reds,
+                                           RedundancyMode mode);
+
 /// The bucketed distribution of Figures 10 and 11: bucket i counts the FDs
 /// whose redundancy lies in (thresholds[i-1], thresholds[i]]; bucket 0
 /// counts FDs with redundancy exactly 0. Thresholds are 2.5%, 5%, 10%, 15%,

@@ -35,36 +35,28 @@ FdRedundancy FdRedundancyFromPartition(const Relation& r, const Fd& fd,
   return red;
 }
 
-std::vector<FdRedundancy> ComputeFdRedundancies(const Relation& r, const FdSet& cover) {
-  std::vector<FdRedundancy> out;
-  out.reserve(cover.fds.size());
-  for (const Fd& fd : cover.fds) {
-    out.push_back(FdRedundancyFromPartition(r, fd, BuildPartition(r, fd.lhs)));
-  }
-  return out;
-}
-
-DatasetRedundancy ComputeDatasetRedundancy(const Relation& r, const FdSet& cover) {
-  DatasetRedundancy result;
-  result.num_values = r.num_values();
+CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover) {
+  CoverRedundancy out;
+  out.per_fd.reserve(cover.fds.size());
+  DatasetRedundancy& dataset = out.dataset;
+  dataset.num_values = r.num_values();
   const int m = r.num_cols();
   std::vector<uint8_t> marked(static_cast<size_t>(r.num_rows()) * m, 0);
   for (const Fd& fd : cover.fds) {
     StrippedPartition pi = BuildPartition(r, fd.lhs);
+    out.per_fd.push_back(FdRedundancyFromPartition(r, fd, pi));
+    // A cell is counted when first marked, however many FDs make it redundant.
     for (RowId row : pi.row_arena()) {
       fd.rhs.for_each([&](AttrId a) {
-        marked[static_cast<size_t>(row) * m + a] = 1;
+        uint8_t& cell = marked[static_cast<size_t>(row) * m + a];
+        if (cell) return;
+        cell = 1;
+        ++dataset.red_plus0;
+        if (!r.is_null(row, a)) ++dataset.red;
       });
     }
   }
-  for (RowId row = 0; row < r.num_rows(); ++row) {
-    for (AttrId a = 0; a < m; ++a) {
-      if (!marked[static_cast<size_t>(row) * m + a]) continue;
-      ++result.red_plus0;
-      if (!r.is_null(row, a)) ++result.red;
-    }
-  }
-  return result;
+  return out;
 }
 
 FdRedundancy BruteForceFdRedundancy(const Relation& r, const Fd& fd) {

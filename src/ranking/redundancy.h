@@ -25,9 +25,6 @@ struct FdRedundancy {
   int64_t excluding_null_lhs_rhs = 0;
 };
 
-/// Per-FD redundancy counts for every FD of a (valid) cover.
-std::vector<FdRedundancy> ComputeFdRedundancies(const Relation& r, const FdSet& cover);
-
 class StrippedPartition;
 
 /// Redundancy counts for one FD from an already-built pi_{lhs}. The query
@@ -54,7 +51,15 @@ struct DatasetRedundancy {
   }
 };
 
-DatasetRedundancy ComputeDatasetRedundancy(const Relation& r, const FdSet& cover);
+/// Per-FD counts, in cover order, and the dataset counts of one cover.
+struct CoverRedundancy {
+  std::vector<FdRedundancy> per_fd;
+  DatasetRedundancy dataset;
+};
+
+/// Both halves of CoverRedundancy for a (valid) cover in one loop: each
+/// pi_LHS is built once, scored, and its arena marks the redundant cells.
+CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover);
 
 /// O(rows^2) reference counter for one FD; cross-checks the partition-based
 /// counters in tests.

@@ -1,8 +1,16 @@
 #include "relation/schema.h"
 
+#include <stdexcept>
+
 namespace dhyfd {
 
-Schema::Schema(std::vector<std::string> names) : names_(std::move(names)) {}
+Schema::Schema(std::vector<std::string> names) : names_(std::move(names)) {
+  // Every relation is built on a Schema: refuse what an AttributeSet cannot hold.
+  if (size() > AttributeSet::kCapacity) {
+    throw std::invalid_argument("table has " + std::to_string(size()) + " columns; at most " +
+                                std::to_string(AttributeSet::kCapacity) + " are supported");
+  }
+}
 
 Schema Schema::numbered(int n, const std::string& prefix) {
   std::vector<std::string> names;

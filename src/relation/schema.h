@@ -15,6 +15,7 @@ namespace dhyfd {
 class Schema {
  public:
   Schema() = default;
+  /// Throws std::invalid_argument beyond AttributeSet::kCapacity names.
   explicit Schema(std::vector<std::string> names);
 
   /// Convenience: makes a schema "c0", "c1", ..., "c(n-1)".

@@ -4,11 +4,13 @@
 #include <utility>
 
 #include "obs/obs_schema.gen.h"
+#include "relation/schema.h"
 #include "util/timer.h"
 
 namespace dhyfd {
 
 void DatasetRegistry::add_table(const std::string& name, RawTable table) {
+  (void)Schema(table.header);  // refuses a too-wide table before it replaces one
   auto entry = std::make_shared<Entry>();
   entry->table = std::make_shared<const RawTable>(std::move(table));
   MutexLock lock(&mu_);

@@ -33,7 +33,8 @@ class DatasetRegistry {
       : metrics_(metrics) {}
 
   /// Registers an in-memory raw table under `name` (replacing any previous
-  /// registration and dropping its cached encodings).
+  /// registration and dropping its cached encodings). A table too wide for
+  /// an AttributeSet throws std::invalid_argument and registers nothing.
   void add_table(const std::string& name, RawTable table) DHYFD_EXCLUDES(mu_);
 
   /// Registers a CSV file; it is read lazily on the first get().

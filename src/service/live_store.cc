@@ -57,6 +57,11 @@ std::string UpdateJobHandle::error() const {
   return error_;
 }
 
+bool UpdateJobHandle::invalid_batch() const {
+  MutexLock lock(&mu_);
+  return invalid_batch_;
+}
+
 CostLedger UpdateJobHandle::cost() const {
   MutexLock lock(&mu_);
   return cost_;
@@ -207,6 +212,7 @@ void LiveStore::run_job(const std::shared_ptr<Entry>& entry,
 
   CoverDelta delta;
   std::string error;
+  bool invalid_batch = false;
   CostLedger cost;
   {
     // The strand worker runs under the batch's trace id with a per-batch
@@ -222,6 +228,7 @@ void LiveStore::run_job(const std::shared_ptr<Entry>& entry,
       delta = entry->profile->apply(h->batch_, h->mode_);
     } catch (const std::exception& e) {
       error = e.what();
+      invalid_batch = dynamic_cast<const std::invalid_argument*>(&e) != nullptr;
     }
   }
 
@@ -258,6 +265,7 @@ void LiveStore::run_job(const std::shared_ptr<Entry>& entry,
     {
       MutexLock lock(&h->mu_);
       h->error_ = std::move(error);
+      h->invalid_batch_ = invalid_batch;
       h->cost_ = cost;
       h->state_ = UpdateJobState::kFailed;
     }

@@ -54,6 +54,9 @@ class UpdateJobHandle {
   const CoverDelta& delta() const DHYFD_EXCLUDES(mu_);
   /// Error message for kFailed jobs ("" otherwise).
   std::string error() const DHYFD_EXCLUDES(mu_);
+  /// True for a kFailed job whose batch LiveProfile::apply refused as
+  /// malformed (std::invalid_argument) — a client error, not a server one.
+  bool invalid_batch() const DHYFD_EXCLUDES(mu_);
 
   /// Trace id grouping this batch's spans/counters when tracing was enabled
   /// at submission (0 otherwise).
@@ -89,6 +92,7 @@ class UpdateJobHandle {
   UpdateJobState state_ DHYFD_GUARDED_BY(mu_) = UpdateJobState::kQueued;
   CoverDelta delta_ DHYFD_GUARDED_BY(mu_);
   std::string error_ DHYFD_GUARDED_BY(mu_);
+  bool invalid_batch_ DHYFD_GUARDED_BY(mu_) = false;
   CostLedger cost_ DHYFD_GUARDED_BY(mu_);
 };
 

@@ -78,7 +78,9 @@ JobHandlePtr JobScheduler::submit(ProfileJob job) {
       handle->done_cv_.notify_all();
       return handle;
     }
-    all_jobs_.push_back(handle);
+    // Lock order: mu_, then each handle's mu_ inside finished().
+    std::erase_if(unfinished_, [](const JobHandlePtr& h) { return h->finished(); });
+    unfinished_.push_back(handle);
     pending_.push(handle);
     metrics_->counter(kObsJobsSubmitted).inc();
     metrics_->gauge(kObsJobsQueued).set(static_cast<std::int64_t>(pending_.size()));
@@ -273,7 +275,7 @@ void JobScheduler::wait_all() const {
   std::vector<JobHandlePtr> jobs;
   {
     MutexLock lock(&mu_);
-    jobs = all_jobs_;
+    jobs = unfinished_;
   }
   for (const JobHandlePtr& handle : jobs) handle->wait();
 }

@@ -88,7 +88,8 @@ class JobScheduler {
   mutable Mutex mu_;
   std::priority_queue<JobHandlePtr, std::vector<JobHandlePtr>, PendingOrder>
       pending_ DHYFD_GUARDED_BY(mu_);
-  std::vector<JobHandlePtr> all_jobs_ DHYFD_GUARDED_BY(mu_);
+  // What wait_all() waits on; submit() drops the handles already terminal.
+  std::vector<JobHandlePtr> unfinished_ DHYFD_GUARDED_BY(mu_);
   std::uint64_t next_id_ DHYFD_GUARDED_BY(mu_) = 1;
   bool shutdown_ DHYFD_GUARDED_BY(mu_) = false;
 };

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -88,8 +89,8 @@ class AttributeSet {
 
   /// Smallest attribute strictly greater than a, or -1 if none.
   AttrId next(AttrId a) const {
-    int w = word(a + 1);
     if (a + 1 >= kCapacity) return -1;
+    int w = word(a + 1);
     uint64_t cur = words_[w] & ~((bit(a + 1)) - 1);
     if (cur != 0) return w * 64 + std::countr_zero(cur);
     for (++w; w < kWords; ++w) {
@@ -196,7 +197,11 @@ class AttributeSet {
   }
 
  private:
-  static constexpr int word(AttrId a) { return a >> 6; }
+  // Schema refuses wider tables; this catches misuse in debug builds.
+  static constexpr int word(AttrId a) {
+    assert(a >= 0 && a < kCapacity);
+    return a >> 6;
+  }
   static constexpr uint64_t bit(AttrId a) { return uint64_t{1} << (a & 63); }
 
   std::array<uint64_t, kWords> words_;

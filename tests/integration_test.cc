@@ -67,7 +67,8 @@ TEST(IntegrationTest, CanonicalCoverShrinksNcvoterLikeThePaper) {
   // one. The analog must show a clearly sub-60% reduction too.
   Relation r = SmallAnalog("ncvoter", 1000);
   DiscoveryResult res = MakeDiscovery("dhyfd")->discover(r);
-  CoverStats stats = ComputeCoverStats(res.fds, r.num_cols());
+  CoverStats stats =
+      ComputeCoverStats(res.fds, CanonicalCover(res.fds, r.num_cols()));
   EXPECT_GT(stats.left_reduced_count, 100);
   EXPECT_LT(stats.percent_size, 60.0);
 }
@@ -113,7 +114,7 @@ TEST(IntegrationTest, RedundancyPercentagesAreSane) {
     Relation r = SmallAnalog(name, 150);
     DiscoveryResult res = MakeDiscovery("dhyfd")->discover(r);
     FdSet can = CanonicalCover(res.fds, r.num_cols());
-    DatasetRedundancy d = ComputeDatasetRedundancy(r, can);
+    DatasetRedundancy d = ComputeCoverRedundancy(r, can).dataset;
     EXPECT_GE(d.red_plus0, d.red) << name;
     EXPECT_LE(d.red_plus0, d.num_values) << name;
     EXPECT_GE(d.percent_red(), 0.0) << name;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "algo/dhyfd.h"
 #include "test_util.h"
@@ -197,7 +198,7 @@ TEST(LiveProfileTest, RankingMatchesFromScratchCounts) {
   // The maintained per-FD counts must equal a from-scratch ranking of the
   // same cover over the live rows.
   Relation snap = p.live_relation().snapshot();
-  std::vector<FdRedundancy> want = ComputeFdRedundancies(snap, p.cover());
+  std::vector<FdRedundancy> want = ComputeCoverRedundancy(snap, p.cover()).per_fd;
   const std::vector<FdRedundancy>& got = p.ranking();
   ASSERT_EQ(got.size(), want.size());
   auto find_want = [&](const Fd& fd) -> const FdRedundancy* {
@@ -249,6 +250,23 @@ TEST(LiveProfileTest, EmptyBatchIsANoOp) {
   CoverDelta d = p.apply(UpdateBatch{});
   EXPECT_TRUE(d.added.empty());
   EXPECT_TRUE(d.removed.empty());
+  EXPECT_EQ(CoverDifference(before, p.cover(), 2), "");
+}
+
+TEST(LiveProfileTest, WrongWidthRowRejectsWholeBatch) {
+  LiveProfile p(Table({"a", "b"}, {{"x", "1"}, {"x", "1"}, {"y", "2"}}));
+  FdSet before = p.cover();
+  for (const std::vector<std::string>& bad :
+       std::vector<std::vector<std::string>>{{"z"}, {"z", "3", "extra"}}) {
+    UpdateBatch batch;
+    batch.inserts.push_back({"z", "3"});  // well-formed, must not land either
+    batch.inserts.push_back(bad);
+    batch.deletes.push_back(0);
+    EXPECT_THROW(p.apply(batch), std::invalid_argument);
+  }
+  EXPECT_EQ(p.live_relation().storage_rows(), 3);
+  EXPECT_EQ(p.live_relation().live_rows(), 3);
+  EXPECT_EQ(p.batches_applied(), 0);
   EXPECT_EQ(CoverDifference(before, p.cover(), 2), "");
 }
 

@@ -234,6 +234,60 @@ TEST(NetServerTest, HostileQuerySpecGetsBadRequestNotDisconnect) {
   EXPECT_EQ(client.submit_query(good).state, "done");
 }
 
+TEST(NetServerTest, InputWidthErrorsAreBadRequests) {
+  Stack stack;
+  BlockingClient client = stack.connect();
+
+  // 257 columns do not fit an AttributeSet: the upload is refused, live or
+  // not, and nothing is registered.
+  RawTable wide;
+  for (int c = 0; c < 257; ++c) wide.header.push_back("c" + std::to_string(c));
+  wide.rows.assign(2, std::vector<std::string>(257, "v"));
+  for (bool live : {true, false}) {
+    try {
+      client.register_dataset("wide", WriteCsvString(wide), live);
+      FAIL() << "expected RpcError";
+    } catch (const RpcError& e) {
+      EXPECT_EQ(e.code(), ErrCode::kBadRequest);
+    }
+  }
+  EXPECT_FALSE(stack.live->contains("wide"));
+  EXPECT_FALSE(stack.datasets.contains("wide"));
+
+  // A failed upload does not replace a good dataset of the same name.
+  client.register_dataset("kept", DemoCsv(), /*live=*/false);
+  try {
+    client.register_dataset("kept", WriteCsvString(wide), /*live=*/false);
+    FAIL() << "expected RpcError";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.code(), ErrCode::kBadRequest);
+  }
+  SubmitQueryMsg kept;
+  kept.dataset = "kept";
+  EXPECT_EQ(client.submit_query(kept).state, "done");
+
+  // A short insert row is refused before the live dataset changes.
+  client.register_dataset("aba", DemoCsv(), /*live=*/true);
+  FdSet cover = stack.live->cover("aba");
+  RowId rows = stack.live->live_rows("aba");
+  ApplyUpdateMsg update;
+  update.dataset = "aba";
+  update.inserts.push_back({"only-one-cell"});
+  try {
+    client.apply_update(update);
+    FAIL() << "expected RpcError";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.code(), ErrCode::kBadRequest);
+  }
+  EXPECT_EQ(stack.live->live_rows("aba"), rows);
+  EXPECT_EQ(stack.live->cover("aba").fds, cover.fds);
+  client.ping();
+  SubmitQueryMsg good;
+  good.dataset = "aba";
+  good.top_k = 3;
+  EXPECT_EQ(client.submit_query(good).state, "done");
+}
+
 TEST(NetServerTest, V1ClientIsRejectedCleanlyOnSubmitQuery) {
   Stack stack;
   Socket s = ConnectTcp("127.0.0.1", stack.server->port());

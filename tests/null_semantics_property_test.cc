@@ -75,7 +75,7 @@ TEST_P(NullSemanticsSweep, RedundancyCountOrderings) {
   RawTable t = RandomNullTable(GetParam() * 171 + 13, 40, 4, 0.2);
   Relation r = EncodeRelation(t, NullSemantics::kNullEqualsNull).relation;
   FdSet cover = BruteForceDiscover(r);
-  for (const FdRedundancy& red : ComputeFdRedundancies(r, cover)) {
+  for (const FdRedundancy& red : ComputeCoverRedundancy(r, cover).per_fd) {
     // with_nulls >= excluding_null_rhs >= excluding_null_lhs_rhs >= 0.
     EXPECT_GE(red.with_nulls, red.excluding_null_rhs);
     EXPECT_GE(red.excluding_null_rhs, red.excluding_null_lhs_rhs);

@@ -21,9 +21,9 @@ RawTable SmallTable() {
 TEST(ProfilerTest, FullPipeline) {
   ProfileReport report = Profiler().profile(SmallTable());
   EXPECT_EQ(report.schema.size(), 4);
-  EXPECT_GT(report.left_reduced.size(), 0);
+  EXPECT_GT(report.discovery.fds.size(), 0);
   EXPECT_GT(report.canonical.size(), 0);
-  EXPECT_LE(report.canonical.size(), report.left_reduced.size());
+  EXPECT_LE(report.canonical.size(), report.discovery.fds.size());
   EXPECT_EQ(report.ranking.size(), static_cast<size_t>(report.canonical.size()));
   EXPECT_GT(report.dataset_redundancy.red_plus0, 0);
 }
@@ -32,7 +32,7 @@ TEST(ProfilerTest, FindsPlantedStructure) {
   ProfileReport report = Profiler().profile(SmallTable());
   AttrId state = report.schema.index_of("state");
   bool constant_state = false, zip_city = false;
-  for (const Fd& fd : report.left_reduced.fds) {
+  for (const Fd& fd : report.discovery.fds.fds) {
     if (fd.lhs.empty() && fd.rhs.test(state)) constant_state = true;
     if (fd.lhs == AttributeSet::single(report.schema.index_of("zip")) &&
         fd.rhs.test(report.schema.index_of("city"))) {
@@ -46,30 +46,45 @@ TEST(ProfilerTest, FindsPlantedStructure) {
 TEST(ProfilerTest, AlgorithmsInterchangeable) {
   RawTable t = SmallTable();
   ProfileOptions base;
-  base.compute_ranking = false;
+  base.canonicalize_and_rank = false;
   ProfileReport ref = Profiler(base).profile(t);
   for (const std::string& name : AllDiscoveryNames()) {
     ProfileOptions opt = base;
     opt.algorithm = name;
     ProfileReport rep = Profiler(opt).profile(t);
-    EXPECT_EQ(rep.left_reduced.size(), ref.left_reduced.size()) << name;
+    EXPECT_EQ(rep.discovery.fds.size(), ref.discovery.fds.size()) << name;
   }
 }
 
 TEST(ProfilerTest, DisablingStagesSkipsWork) {
   ProfileOptions opt;
-  opt.compute_canonical = false;
-  opt.compute_ranking = false;
+  opt.canonicalize_and_rank = false;
   ProfileReport rep = Profiler(opt).profile(SmallTable());
   EXPECT_TRUE(rep.canonical.empty());
   EXPECT_TRUE(rep.ranking.empty());
 }
 
-TEST(ProfilerTest, RankingWithoutCanonicalUsesLeftReduced) {
-  ProfileOptions opt;
-  opt.compute_canonical = false;
-  ProfileReport rep = Profiler(opt).profile(SmallTable());
-  EXPECT_EQ(rep.ranking.size(), static_cast<size_t>(rep.left_reduced.size()));
+TEST(ProfilerTest, StagesMatchDirectLayerCalls) {
+  // Each stage runs once on the previous stage's output, so the report must
+  // equal the layers' own entry points applied in sequence.
+  for (const char* name : {"bridges", "abalone"}) {
+    RawTable t = GenerateBenchmark(name, 200);
+    ProfileReport rep = Profiler().profile(t);
+    Relation r = EncodeRelation(t).relation;
+    FdSet canonical = CanonicalCover(rep.discovery.fds, r.num_cols());
+    EXPECT_EQ(rep.canonical.fds, canonical.fds) << name;
+    std::vector<FdRedundancy> ranked = RankFds(r, canonical);
+    ASSERT_EQ(rep.ranking.size(), ranked.size()) << name;
+    for (size_t i = 0; i < ranked.size(); ++i) {
+      EXPECT_EQ(rep.ranking[i].fd, ranked[i].fd) << name << " #" << i;
+      EXPECT_EQ(rep.ranking[i].with_nulls, ranked[i].with_nulls) << name;
+      EXPECT_EQ(rep.ranking[i].excluding_null_rhs, ranked[i].excluding_null_rhs)
+          << name;
+      EXPECT_EQ(rep.ranking[i].excluding_null_lhs_rhs,
+                ranked[i].excluding_null_lhs_rhs)
+          << name;
+    }
+  }
 }
 
 TEST(ProfilerTest, NullSemanticsOption) {
@@ -83,8 +98,8 @@ TEST(ProfilerTest, NullSemanticsOption) {
   ProfileReport rep_neq = Profiler(neq).profile(t);
   // Under null != null, column a becomes unique, so a -> b holds there and
   // its LHS can shrink the cover differently; both must stay self-valid.
-  EXPECT_GT(rep_eq.left_reduced.size(), 0);
-  EXPECT_GT(rep_neq.left_reduced.size(), 0);
+  EXPECT_GT(rep_eq.discovery.fds.size(), 0);
+  EXPECT_GT(rep_neq.discovery.fds.size(), 0);
 }
 
 TEST(ProfilerTest, SummaryMentionsKeyFigures) {
@@ -98,8 +113,8 @@ TEST(ProfilerTest, SummaryMentionsKeyFigures) {
 TEST(ProfilerTest, WorksOnGeneratedBenchmark) {
   RawTable t = GenerateBenchmark("bridges", 108);
   ProfileReport rep = Profiler().profile(t);
-  EXPECT_GT(rep.left_reduced.size(), 0);
-  EXPECT_LE(rep.canonical.size(), rep.left_reduced.size());
+  EXPECT_GT(rep.discovery.fds.size(), 0);
+  EXPECT_LE(rep.canonical.size(), rep.discovery.fds.size());
 }
 
 }  // namespace

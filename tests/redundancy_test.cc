@@ -12,12 +12,36 @@ namespace {
 using testutil::FromValues;
 using testutil::RandomRelation;
 
+/// O(rows^2) reference for the dataset counts that shares no code with the
+/// partition pass: cell t(A) is redundant when some cover FD X -> Y with A
+/// in Y has a witness tuple agreeing with t on X.
+DatasetRedundancy BruteForceDatasetRedundancy(const Relation& r, const FdSet& cover) {
+  DatasetRedundancy d;
+  d.num_values = static_cast<int64_t>(r.num_rows()) * r.num_cols();
+  for (RowId t = 0; t < r.num_rows(); ++t) {
+    for (AttrId a = 0; a < r.num_cols(); ++a) {
+      bool redundant = false;
+      for (const Fd& fd : cover.fds) {
+        if (!fd.rhs.test(a)) continue;
+        for (RowId s = 0; s < r.num_rows() && !redundant; ++s) {
+          redundant = s != t && r.agree_on(s, t, fd.lhs);
+        }
+        if (redundant) break;
+      }
+      if (!redundant) continue;
+      ++d.red_plus0;
+      if (!r.is_null(t, a)) ++d.red;
+    }
+  }
+  return d;
+}
+
 TEST(RedundancyTest, ConstantColumnMakesEveryOccurrenceRedundant) {
   // Paper sigma_1 = {} -> state: all 1000 occurrences redundant; here 4.
   Relation r = FromValues({{7, 0}, {7, 1}, {7, 2}, {7, 3}});
   FdSet cover;
   cover.add(Fd(AttributeSet{}, 0));
-  auto reds = ComputeFdRedundancies(r, cover);
+  auto reds = ComputeCoverRedundancy(r, cover).per_fd;
   ASSERT_EQ(reds.size(), 1u);
   EXPECT_EQ(reds[0].with_nulls, 4);
   EXPECT_EQ(reds[0].excluding_null_rhs, 4);
@@ -28,7 +52,7 @@ TEST(RedundancyTest, NearKeyLhsGivesFewRedundancies) {
   Relation r = FromValues({{131, 0}, {131, 0}, {657, 0}, {725, 0}});
   FdSet cover;
   cover.add(Fd(AttributeSet{0}, 1));
-  auto reds = ComputeFdRedundancies(r, cover);
+  auto reds = ComputeCoverRedundancy(r, cover).per_fd;
   EXPECT_EQ(reds[0].with_nulls, 2);
 }
 
@@ -37,7 +61,7 @@ TEST(RedundancyTest, NullRhsExcluded) {
   Relation r = FromValues({{0, -1}, {0, -1}, {1, 5}, {1, 5}, {2, 6}});
   FdSet cover;
   cover.add(Fd(AttributeSet{0}, 1));
-  auto reds = ComputeFdRedundancies(r, cover);
+  auto reds = ComputeCoverRedundancy(r, cover).per_fd;
   EXPECT_EQ(reds[0].with_nulls, 4);
   EXPECT_EQ(reds[0].excluding_null_rhs, 2);
   EXPECT_EQ(reds[0].excluding_null_lhs_rhs, 2);
@@ -47,7 +71,7 @@ TEST(RedundancyTest, NullLhsExcludedInStrictMode) {
   Relation r = FromValues({{-1, 5}, {-1, 5}, {1, 6}, {1, 6}});
   FdSet cover;
   cover.add(Fd(AttributeSet{0}, 1));
-  auto reds = ComputeFdRedundancies(r, cover);
+  auto reds = ComputeCoverRedundancy(r, cover).per_fd;
   EXPECT_EQ(reds[0].with_nulls, 4);
   EXPECT_EQ(reds[0].excluding_null_rhs, 4);
   EXPECT_EQ(reds[0].excluding_null_lhs_rhs, 2);
@@ -57,22 +81,29 @@ TEST(RedundancyTest, MultiRhsSumsPerAttribute) {
   Relation r = FromValues({{0, 1, 2}, {0, 1, 2}});
   FdSet cover;
   cover.add(Fd(AttributeSet{0}, AttributeSet{1, 2}));
-  auto reds = ComputeFdRedundancies(r, cover);
+  auto reds = ComputeCoverRedundancy(r, cover).per_fd;
   EXPECT_EQ(reds[0].with_nulls, 4);  // 2 tuples x 2 RHS attrs
 }
 
 TEST(RedundancyTest, MatchesBruteForce) {
   for (int seed = 1; seed <= 8; ++seed) {
     Relation r = RandomRelation(seed * 7, 50, 4, 3, seed % 3 == 0 ? 0.15 : 0.0);
-    FdSet cover = BruteForceDiscover(r);
-    auto fast = ComputeFdRedundancies(r, cover);
-    ASSERT_EQ(fast.size(), cover.fds.size());
-    for (size_t i = 0; i < fast.size(); ++i) {
-      FdRedundancy slow = BruteForceFdRedundancy(r, cover.fds[i]);
-      EXPECT_EQ(fast[i].with_nulls, slow.with_nulls)
-          << "seed=" << seed << " fd=" << cover.fds[i].to_string();
-      EXPECT_EQ(fast[i].excluding_null_rhs, slow.excluding_null_rhs);
-      EXPECT_EQ(fast[i].excluding_null_lhs_rhs, slow.excluding_null_lhs_rhs);
+    FdSet left_reduced = BruteForceDiscover(r);
+    // The canonical cover brings multi-attribute RHSs into the cell marking.
+    for (const FdSet& cover : {left_reduced, CanonicalCover(left_reduced, r.num_cols())}) {
+      CoverRedundancy fast = ComputeCoverRedundancy(r, cover);
+      ASSERT_EQ(fast.per_fd.size(), cover.fds.size());
+      for (size_t i = 0; i < fast.per_fd.size(); ++i) {
+        FdRedundancy slow = BruteForceFdRedundancy(r, cover.fds[i]);
+        EXPECT_EQ(fast.per_fd[i].with_nulls, slow.with_nulls)
+            << "seed=" << seed << " fd=" << cover.fds[i].to_string();
+        EXPECT_EQ(fast.per_fd[i].excluding_null_rhs, slow.excluding_null_rhs);
+        EXPECT_EQ(fast.per_fd[i].excluding_null_lhs_rhs, slow.excluding_null_lhs_rhs);
+      }
+      DatasetRedundancy slow = BruteForceDatasetRedundancy(r, cover);
+      EXPECT_EQ(fast.dataset.num_values, slow.num_values) << "seed=" << seed;
+      EXPECT_EQ(fast.dataset.red, slow.red) << "seed=" << seed;
+      EXPECT_EQ(fast.dataset.red_plus0, slow.red_plus0) << "seed=" << seed;
     }
   }
 }
@@ -83,7 +114,7 @@ TEST(RedundancyTest, DatasetDedupAcrossFds) {
   FdSet cover;
   cover.add(Fd(AttributeSet{0}, 2));
   cover.add(Fd(AttributeSet{1}, 2));
-  DatasetRedundancy d = ComputeDatasetRedundancy(r, cover);
+  DatasetRedundancy d = ComputeCoverRedundancy(r, cover).dataset;
   EXPECT_EQ(d.red_plus0, 2);  // two cells in column 2, counted once each
   EXPECT_EQ(d.num_values, 6);
 }
@@ -92,7 +123,7 @@ TEST(RedundancyTest, DatasetPercentages) {
   Relation r = FromValues({{7, 0}, {7, 1}});
   FdSet cover;
   cover.add(Fd(AttributeSet{}, 0));
-  DatasetRedundancy d = ComputeDatasetRedundancy(r, cover);
+  DatasetRedundancy d = ComputeCoverRedundancy(r, cover).dataset;
   EXPECT_EQ(d.red, 2);
   EXPECT_NEAR(d.percent_red(), 50.0, 1e-9);
   EXPECT_NEAR(d.percent_red_plus0(), 50.0, 1e-9);
@@ -102,17 +133,17 @@ TEST(RedundancyTest, KeysCauseZeroRedundancy) {
   Relation r = FromValues({{0, 5}, {1, 5}, {2, 6}});
   FdSet cover;
   cover.add(Fd(AttributeSet{0}, 1));  // key LHS
-  auto reds = ComputeFdRedundancies(r, cover);
+  auto reds = ComputeCoverRedundancy(r, cover).per_fd;
   EXPECT_EQ(reds[0].with_nulls, 0);
 }
 
 TEST(RedundancyTest, EmptyCoverEmptyCounts) {
   Relation r = FromValues({{0}, {1}});
   FdSet cover;
-  EXPECT_TRUE(ComputeFdRedundancies(r, cover).empty());
-  DatasetRedundancy d = ComputeDatasetRedundancy(r, cover);
-  EXPECT_EQ(d.red, 0);
-  EXPECT_EQ(d.red_plus0, 0);
+  CoverRedundancy red = ComputeCoverRedundancy(r, cover);
+  EXPECT_TRUE(red.per_fd.empty());
+  EXPECT_EQ(red.dataset.red, 0);
+  EXPECT_EQ(red.dataset.red_plus0, 0);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // domains, and profiler behavior on them.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "algo/discovery.h"
 #include "core/profiler.h"
 #include "fd/cover.h"
@@ -71,7 +74,7 @@ TEST(RobustnessTest, AllRowsIdentical) {
   EXPECT_EQ(res.fds.size(), 2);  // both columns constant
   // Ranking: every occurrence is redundant under the constants.
   FdSet canonical = CanonicalCover(res.fds, 2);
-  DatasetRedundancy d = ComputeDatasetRedundancy(r, canonical);
+  DatasetRedundancy d = ComputeCoverRedundancy(r, canonical).dataset;
   EXPECT_EQ(d.red_plus0, 6);
 }
 
@@ -97,8 +100,26 @@ TEST(RobustnessTest, ProfilerOnDegenerateInputs) {
   // has no second row to witness redundancy.
   RawTable one = TableOf({"a", "b"}, {{"x", "y"}});
   ProfileReport rep1 = Profiler().profile(one);
-  EXPECT_EQ(rep1.left_reduced.size(), 2);
+  EXPECT_EQ(rep1.discovery.fds.size(), 2);
   EXPECT_EQ(rep1.dataset_redundancy.red_plus0, 0);
+}
+
+RawTable WideTable(int cols) {
+  RawTable t;
+  for (int c = 0; c < cols; ++c) t.header.push_back("c" + std::to_string(c));
+  t.rows.assign(2, std::vector<std::string>(cols, "v"));
+  return t;
+}
+
+TEST(RobustnessTest, TableWidthCheckedAtRelationBoundary) {
+  // AttributeSet holds 256 attributes; a wider table must be refused before
+  // any attribute set is built from it, not overflow one.
+  const int max = AttributeSet::kCapacity;
+  EXPECT_EQ(EncodeRelation(WideTable(max)).relation.num_cols(), max);
+  EXPECT_EQ(DeltaEncoder(WideTable(max)).relation().num_cols(), max);
+  EXPECT_THROW(EncodeRelation(WideTable(max + 1)), std::invalid_argument);
+  EXPECT_THROW(DeltaEncoder{WideTable(max + 1)}, std::invalid_argument);
+  EXPECT_THROW(Profiler().profile(WideTable(300)), std::invalid_argument);
 }
 
 TEST(RobustnessTest, HugeDomainColumn) {
@@ -132,7 +153,7 @@ TEST(RobustnessTest, RankingOnCoverWithForeignFds) {
   Relation r = testutil::FromValues({{0, 1}, {0, 2}});
   FdSet cover;
   cover.add(Fd(AttributeSet{0}, 1));  // violated FD
-  auto reds = ComputeFdRedundancies(r, cover);
+  auto reds = ComputeCoverRedundancy(r, cover).per_fd;
   EXPECT_EQ(reds[0].with_nulls, 2);  // both rows share the LHS value
 }
 

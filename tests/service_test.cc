@@ -49,6 +49,18 @@ TEST(DatasetRegistryTest, UnknownNameThrows) {
                std::out_of_range);
 }
 
+TEST(DatasetRegistryTest, TooWideTableIsRefusedAndKeepsTheOldOne) {
+  DatasetRegistry datasets;
+  datasets.add_table("t", DemoTable());
+  RawTable wide;
+  for (int c = 0; c < 257; ++c) wide.header.push_back("c" + std::to_string(c));
+  EXPECT_THROW(datasets.add_table("t", wide), std::invalid_argument);
+  EXPECT_THROW(datasets.add_table("w", wide), std::invalid_argument);
+  EXPECT_FALSE(datasets.contains("w"));
+  EXPECT_EQ(datasets.get("t", NullSemantics::kNullEqualsNull)->num_cols(),
+            DemoTable().num_cols());
+}
+
 TEST(DatasetRegistryTest, MissingFileFailsThenRetries) {
   DatasetRegistry datasets;
   datasets.add_csv_file("f", "/nonexistent/path.csv");
@@ -131,7 +143,8 @@ TEST(ServiceTest, ConcurrentJobsMatchSerialProfiler) {
   for (size_t i = 0; i < handles.size(); ++i) {
     ASSERT_EQ(handles[i]->state(), JobState::kDone) << handles[i]->error();
     const ProfileReport& got = handles[i]->report();
-    EXPECT_EQ(CoverString(got.left_reduced), CoverString(expected[i].left_reduced));
+    EXPECT_EQ(CoverString(got.discovery.fds),
+              CoverString(expected[i].discovery.fds));
     EXPECT_EQ(CoverString(got.canonical), CoverString(expected[i].canonical));
     EXPECT_EQ(got.ranking.size(), expected[i].ranking.size());
     EXPECT_GT(got.timings.discover_seconds, 0);
@@ -157,8 +170,7 @@ TEST(ServiceTest, QueryJobsRunThroughScheduler) {
   ProfileJob job;
   job.dataset = "aba";
   auto slot = BindQueryToProfile(job.options, query);
-  job.options.compute_canonical = false;
-  job.options.compute_ranking = false;
+  job.options.canonicalize_and_rank = false;
   JobHandlePtr handle = scheduler.submit(job);
   scheduler.wait_all();
 
@@ -172,7 +184,7 @@ TEST(ServiceTest, QueryJobsRunThroughScheduler) {
     EXPECT_EQ(slot->result->fds[i].score, expected.fds[i].score);
   }
   // The ranked answer is also surfaced through the generic cover fields.
-  EXPECT_EQ(CoverString(got.left_reduced),
+  EXPECT_EQ(CoverString(got.discovery.fds),
             CoverString(expected.cover()));
 
   // An invalid spec fails the job with a diagnosable error.
@@ -310,6 +322,25 @@ TEST(ServiceTest, MaxPendingRejectsInsteadOfBlocking) {
   EXPECT_FALSE(after->rejected());
   after->wait();
   EXPECT_EQ(after->state(), JobState::kDone);
+}
+
+TEST(ServiceTest, FinishedJobIsReleasedOnNextSubmit) {
+  MetricsRegistry metrics;
+  DatasetRegistry datasets(&metrics);
+  datasets.add_table("t", DemoTable("abalone", 100));
+  // One worker: the second job only runs once the first job's task returned,
+  // so nothing but the scheduler's own bookkeeping could still hold it.
+  JobScheduler scheduler(&datasets, &metrics, {.num_threads = 1});
+  ProfileJob job;
+  job.dataset = "t";
+  JobHandlePtr first = scheduler.submit(job);
+  first->wait();
+  std::weak_ptr<JobHandle> watch = first;
+  first.reset();
+  JobHandlePtr second = scheduler.submit(job);
+  second->wait();
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(second->state(), JobState::kDone);
 }
 
 TEST(ServiceTest, PriorityOrderOnSingleWorker) {
