@@ -13,7 +13,8 @@
 #   6. asan              — partition-arena tests, the wire-framing
 #                          negative/fuzz-ish suite (incl. the query payload
 #                          negatives), the query lattice, the single rank
-#                          pass and the input-width negatives under ASan
+#                          pass, the input-width negatives, and the net
+#                          server round-trips + trace propagation under ASan
 #   7. ubsan             — bit-twiddling kernels under UBSan (non-recoverable)
 #   8. thread-safety     — Clang Thread Safety Analysis as errors over src/,
 #                          plus a seeded mis-annotation that must FAIL to
@@ -122,7 +123,8 @@ echo "=== asan: partition arena indexing under AddressSanitizer ==="
 cmake -B build-asan -S . -DDHYFD_SANITIZE=address -DDHYFD_WERROR=ON
 cmake --build build-asan -j "$JOBS" --target \
   partition_test partition_cache_test partition_intersect_test \
-  net_wire_test query_test redundancy_test robustness_test live_profile_test
+  net_wire_test query_test redundancy_test robustness_test live_profile_test \
+  net_server_test trace_propagation_test
 ./build-asan/tests/partition_test
 ./build-asan/tests/partition_cache_test
 ./build-asan/tests/partition_intersect_test
@@ -142,6 +144,12 @@ cmake --build build-asan -j "$JOBS" --target \
 ./build-asan/tests/redundancy_test
 ./build-asan/tests/robustness_test
 ./build-asan/tests/live_profile_test
+# The server's ops-pool runner moves each request's captured state onto a
+# pool thread and its answer back to the loop; the last use-after-free in
+# the server was remote-triggerable, so the full round-trip suite (every
+# request type, hostile envelopes, drain) and the traced paths run here too.
+./build-asan/tests/net_server_test
+./build-asan/tests/trace_propagation_test
 
 echo
 echo "=== ubsan: bit-twiddling kernels under UBSan (no recovery) ==="

@@ -99,22 +99,16 @@ void BlockingClient::send_request(MsgType type, std::uint64_t request_id,
                                   const Msg& msg, std::uint64_t trace_id) {
   WireWriter w;
   msg.encode(w);
-  send_payload(type, request_id, w.bytes(), trace_id);
-}
-
-void BlockingClient::send_payload(MsgType type, std::uint64_t request_id,
-                                  const std::vector<std::uint8_t>& payload,
-                                  std::uint64_t trace_id) {
-  if (limits_.protocol_version >= kTraceProtocolVersion && trace_id != 0) {
+  if (trace_id != 0) {
     // Stamp the request: the envelope adds 17 bytes (trace id, span id,
     // inner type) and the server adopts the ids for all its spans.
     TraceContext ctx;
     ctx.trace_id = trace_id;
     ctx.span_id = Tracer::Global().next_trace_id();
-    sock_.write_all(EncodeTracedFrame(type, request_id, payload, ctx));
+    sock_.write_all(EncodeTracedFrame(type, request_id, w.bytes(), ctx));
     return;
   }
-  sock_.write_all(EncodeFrame(type, request_id, payload));
+  sock_.write_all(EncodeFrame(type, request_id, w.bytes()));
 }
 
 void BlockingClient::read_cost_trailer(std::uint64_t request_id,
@@ -123,7 +117,6 @@ void BlockingClient::read_cost_trailer(std::uint64_t request_id,
   // the request arrived wrapped, so an untraced call must not wait for it
   // (and pays no extra reads on the fast path).
   if (trace_id == 0) return;
-  if (limits_.protocol_version < kTraceProtocolVersion) return;
   Frame trailer = wait_response(request_id, MsgType::kCostTrailer);
   WireReader r(trailer.payload);
   last_cost_ = CostTrailerMsg::decode(r);
@@ -132,14 +125,12 @@ void BlockingClient::read_cost_trailer(std::uint64_t request_id,
 
 BlockingClient::BlockingClient(const std::string& host, std::uint16_t port,
                                const std::string& client_name,
-                               double timeout_seconds,
-                               std::uint32_t protocol_version)
+                               double timeout_seconds)
     : timeout_seconds_(timeout_seconds) {
   sock_ = ConnectTcp(host, port);
   sock_.set_tcp_nodelay(true);
   sock_.set_recv_timeout(timeout_seconds);
   HelloMsg hello;
-  hello.protocol_version = protocol_version;
   hello.client_name = client_name;
   std::uint64_t id = next_request_id();
   sock_.write_all(EncodeMsgFrame(MsgType::kHello, id, hello));
@@ -170,11 +161,7 @@ DiscoveryResultMsg BlockingClient::submit_discovery(
     const SubmitDiscoveryMsg& request) {
   CallTrace trace;
   std::uint64_t id = next_request_id();
-  // Encoded against the negotiated version: a v<=3 server gets the
-  // pre-parallelism schema (and the parallelism request is simply dropped).
-  WireWriter w;
-  request.encode(w, limits_.protocol_version);
-  send_payload(MsgType::kSubmitDiscovery, id, w.bytes(), trace.trace_id());
+  send_request(MsgType::kSubmitDiscovery, id, request, trace.trace_id());
   Frame reply = wait_response(id, MsgType::kDiscoveryResult);
   read_cost_trailer(id, trace.trace_id());
   WireReader r(reply.payload);
@@ -184,9 +171,7 @@ DiscoveryResultMsg BlockingClient::submit_discovery(
 QueryResultMsg BlockingClient::submit_query(const SubmitQueryMsg& request) {
   CallTrace trace;
   std::uint64_t id = next_request_id();
-  WireWriter w;
-  request.encode(w, limits_.protocol_version);
-  send_payload(MsgType::kSubmitQuery, id, w.bytes(), trace.trace_id());
+  send_request(MsgType::kSubmitQuery, id, request, trace.trace_id());
   Frame reply = wait_response(id, MsgType::kQueryResult);
   read_cost_trailer(id, trace.trace_id());
   WireReader r(reply.payload);

@@ -50,14 +50,10 @@ struct StreamEvent {
 class BlockingClient {
  public:
   /// Connects and performs the hello handshake. `timeout_seconds` bounds
-  /// every blocking read on this connection. `protocol_version` is what the
-  /// hello announces — lower it to emulate an older client (compat tests);
-  /// connections below kTraceProtocolVersion neither wrap requests in trace
-  /// envelopes nor expect cost trailers.
+  /// every blocking read on this connection.
   BlockingClient(const std::string& host, std::uint16_t port,
                  const std::string& client_name = "dhyfd-client",
-                 double timeout_seconds = 30,
-                 std::uint32_t protocol_version = kProtocolVersion);
+                 double timeout_seconds = 30);
 
   BlockingClient(const BlockingClient&) = delete;
   BlockingClient& operator=(const BlockingClient&) = delete;
@@ -70,9 +66,8 @@ class BlockingClient {
                                  const std::string& csv_text, bool live,
                                  std::uint8_t semantics = 0);
   DiscoveryResultMsg submit_discovery(const SubmitDiscoveryMsg& request);
-  /// Protocol v2: rank-driven discovery query (approximate thresholds,
-  /// arity bounds, top-k). RpcError(kUnsupportedVersion) when the server
-  /// negotiated a pre-query protocol version for this connection.
+  /// Rank-driven discovery query (approximate thresholds, arity bounds,
+  /// top-k).
   QueryResultMsg submit_query(const SubmitQueryMsg& request);
   CoverResultMsg query_cover(const std::string& dataset,
                              std::uint32_t top_k = 0);
@@ -108,7 +103,7 @@ class BlockingClient {
   bool connected() const { return sock_.valid(); }
 
   // -- cost attribution ------------------------------------------------------
-  /// True once a *traced* RPC on a v3+ connection completed successfully
+  /// True once a *traced* RPC completed successfully
   /// (one issued under a TraceIdScope or with the global tracer enabled);
   /// the server's per-request cost trailer is then available in
   /// last_cost(). Untraced calls skip the trailer on both ends so the
@@ -120,22 +115,15 @@ class BlockingClient {
 
  private:
   std::uint64_t next_request_id() { return next_request_id_++; }
-  /// Sends one request frame, wrapped in a kTracedRequest envelope when the
-  /// connection speaks v3+ and `trace_id` is non-zero. Instantiated only in
-  /// client.cc.
+  /// Sends one request frame, wrapped in a kTracedRequest envelope when
+  /// `trace_id` is non-zero. Instantiated only in client.cc.
   template <typename Msg>
   void send_request(MsgType type, std::uint64_t request_id, const Msg& msg,
                     std::uint64_t trace_id);
-  /// Same, for an already-encoded payload — used by calls whose message
-  /// schema depends on the negotiated protocol version (v4 submit requests
-  /// encode themselves against limits_.protocol_version first).
-  void send_payload(MsgType type, std::uint64_t request_id,
-                    const std::vector<std::uint8_t>& payload,
-                    std::uint64_t trace_id);
-  /// On v3+ connections a successful result for a *traced* request (one
-  /// that went out wrapped in a kTracedRequest envelope) is followed by a
-  /// kCostTrailer with the same request id; read it into last_cost_.
-  /// Untraced requests get no trailer, so this is a no-op for them.
+  /// A successful result for a *traced* request (one that went out wrapped
+  /// in a kTracedRequest envelope) is followed by a kCostTrailer with the
+  /// same request id; read it into last_cost_. Untraced requests get no
+  /// trailer, so this is a no-op for them.
   void read_cost_trailer(std::uint64_t request_id, std::uint64_t trace_id);
   /// Reads frames until the response for `request_id` arrives; stream
   /// frames encountered on the way are queued. Throws RpcError on kError.

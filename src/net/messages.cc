@@ -113,18 +113,17 @@ RegisterOkMsg RegisterOkMsg::decode(WireReader& r) {
   return m;
 }
 
-void SubmitDiscoveryMsg::encode(WireWriter& w, std::uint32_t version) const {
+void SubmitDiscoveryMsg::encode(WireWriter& w) const {
   w.str(dataset);
   w.str(algorithm);
   w.u8(semantics);
   w.u32(static_cast<std::uint32_t>(priority));
   w.u32(deadline_ms);
   w.u32(top_k);
-  if (version >= kParallelProtocolVersion) w.u32(parallelism);
+  w.u32(parallelism);
 }
 
-SubmitDiscoveryMsg SubmitDiscoveryMsg::decode(WireReader& r,
-                                              std::uint32_t version) {
+SubmitDiscoveryMsg SubmitDiscoveryMsg::decode(WireReader& r) {
   SubmitDiscoveryMsg m;
   m.dataset = r.str();
   m.algorithm = r.str();
@@ -132,10 +131,7 @@ SubmitDiscoveryMsg SubmitDiscoveryMsg::decode(WireReader& r,
   m.priority = static_cast<std::int32_t>(r.u32());
   m.deadline_ms = r.u32();
   m.top_k = r.u32();
-  // The field is read per negotiated version, not by sniffing remaining
-  // bytes, so a truncated v4 payload still fails expect_done() instead of
-  // silently decoding as a v3 one.
-  if (version >= kParallelProtocolVersion) m.parallelism = r.u32();
+  m.parallelism = r.u32();
   r.expect_done();
   return m;
 }
@@ -161,7 +157,7 @@ DiscoveryResultMsg DiscoveryResultMsg::decode(WireReader& r) {
   return m;
 }
 
-void SubmitQueryMsg::encode(WireWriter& w, std::uint32_t version) const {
+void SubmitQueryMsg::encode(WireWriter& w) const {
   w.str(dataset);
   w.u8(semantics);
   w.u32(static_cast<std::uint32_t>(priority));
@@ -174,10 +170,10 @@ void SubmitQueryMsg::encode(WireWriter& w, std::uint32_t version) const {
   for (std::uint8_t c : include_columns) w.u8(c);
   w.u32(static_cast<std::uint32_t>(exclude_columns.size()));
   for (std::uint8_t c : exclude_columns) w.u8(c);
-  if (version >= kParallelProtocolVersion) w.u32(parallelism);
+  w.u32(parallelism);
 }
 
-SubmitQueryMsg SubmitQueryMsg::decode(WireReader& r, std::uint32_t version) {
+SubmitQueryMsg SubmitQueryMsg::decode(WireReader& r) {
   SubmitQueryMsg m;
   m.dataset = r.str();
   m.semantics = r.u8();
@@ -195,7 +191,7 @@ SubmitQueryMsg SubmitQueryMsg::decode(WireReader& r, std::uint32_t version) {
   CheckCount(r, ne, 1);
   m.exclude_columns.reserve(ne);
   for (std::uint32_t i = 0; i < ne; ++i) m.exclude_columns.push_back(r.u8());
-  if (version >= kParallelProtocolVersion) m.parallelism = r.u32();
+  m.parallelism = r.u32();
   r.expect_done();
   return m;
 }
@@ -404,8 +400,8 @@ TraceContext DecodeTracedHeader(WireReader& r, MsgType* inner_type) {
   ctx.trace_id = r.u64();
   ctx.span_id = r.u64();
   std::uint8_t t = r.u8();
-  if (!IsKnownMsgType(t) || t == static_cast<std::uint8_t>(MsgType::kTracedRequest)) {
-    throw WireError("traced request wraps unknown or recursive type " +
+  if (!IsKnownMsgType(t) || RequestTypeName(static_cast<MsgType>(t)) == nullptr) {
+    throw WireError("traced request wraps non-request type " +
                     std::to_string(int{t}));
   }
   *inner_type = static_cast<MsgType>(t);

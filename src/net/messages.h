@@ -16,26 +16,11 @@ namespace dhyfd::net {
 /// the bytes actually present before anything is reserved, so a hostile
 /// count field cannot trigger a multi-gigabyte allocation.
 
-/// v1: the original message set (kHello .. kPong).
-/// v2: adds kSubmitQuery / kQueryResult (rank-driven discovery queries).
-/// v3: adds kTracedRequest (client-stamped trace context around any request)
-///     and kCostTrailer (per-request cost ledger after successful results).
-/// v4: appends a `parallelism` field to kSubmitDiscovery / kSubmitQuery
-///     (requested intra-job thread count; the server clamps it to its pool).
-///     No new message types — both codecs are version-parameterized, so a
-///     v<=3 connection keeps the old byte-exact schema and its strict
-///     truncation checks.
-/// The handshake negotiates min(client, server); older clients keep working
-/// but get kError(kUnsupportedVersion) if they send newer message types, and
-/// the server never sends a trailer to a connection below v3.
+/// The one wire schema. A hello that announces any other version gets
+/// kError(kUnsupportedVersion) and the connection is closed. Every request
+/// may arrive wrapped in a kTracedRequest envelope, and every successful
+/// result of a wrapped request is followed by a kCostTrailer.
 constexpr std::uint32_t kProtocolVersion = 4;
-constexpr std::uint32_t kMinProtocolVersion = 1;
-/// The protocol version that introduced kSubmitQuery / kQueryResult.
-constexpr std::uint32_t kQueryProtocolVersion = 2;
-/// The protocol version that introduced kTracedRequest / kCostTrailer.
-constexpr std::uint32_t kTraceProtocolVersion = 3;
-/// The protocol version that introduced the submit-side parallelism field.
-constexpr std::uint32_t kParallelProtocolVersion = 4;
 
 struct HelloMsg {
   std::uint32_t protocol_version = kProtocolVersion;
@@ -96,17 +81,14 @@ struct SubmitDiscoveryMsg {
   std::uint32_t deadline_ms = 0;
   /// How many ranked FDs the response should carry (0 = none).
   std::uint32_t top_k = 0;
-  /// Protocol v4: requested intra-job parallelism — threads the discovery
-  /// stage may shard over, including the job's own worker (0 or 1 =
-  /// sequential). The server clamps to its pool size; the answer is
-  /// bit-identical at any degree. Encoded only on v4+ connections.
+  /// Requested intra-job parallelism — threads the discovery stage may
+  /// shard over, including the job's own worker (0 or 1 = sequential). The
+  /// server clamps to its pool size; the answer is bit-identical at any
+  /// degree.
   std::uint32_t parallelism = 0;
 
-  /// `version` is the connection's negotiated protocol version: v<=3 peers
-  /// keep the pre-parallelism schema byte for byte.
-  void encode(WireWriter& w, std::uint32_t version = kProtocolVersion) const;
-  static SubmitDiscoveryMsg decode(WireReader& r,
-                                   std::uint32_t version = kProtocolVersion);
+  void encode(WireWriter& w) const;
+  static SubmitDiscoveryMsg decode(WireReader& r);
 };
 
 /// One ranked FD, rendered in numeric form ("{1,5} -> {3}").
@@ -128,7 +110,7 @@ struct DiscoveryResultMsg {
   static DiscoveryResultMsg decode(WireReader& r);
 };
 
-/// Protocol v2: a rank-driven discovery query (src/query/) against a
+/// A rank-driven discovery query (src/query/) against a
 /// registered dataset. Decode is deliberately permissive about *semantic*
 /// values (a hostile epsilon or an absurd arity bound still decodes); the
 /// server validates the spec with DescribeQueryError and answers
@@ -151,19 +133,16 @@ struct SubmitQueryMsg {
   /// Column scope; empty include list = all columns.
   std::vector<std::uint8_t> include_columns;
   std::vector<std::uint8_t> exclude_columns;
-  /// Protocol v4: requested intra-job parallelism (see SubmitDiscoveryMsg).
-  /// Applies to the full-discovery query path; the top-k lattice walk is
-  /// sequential and ignores it. Encoded only on v4+ connections.
+  /// Requested intra-job parallelism (see SubmitDiscoveryMsg). Applies to
+  /// the full-discovery query path; the top-k lattice walk is sequential
+  /// and ignores it.
   std::uint32_t parallelism = 0;
 
-  /// `version` is the connection's negotiated protocol version: v<=3 peers
-  /// keep the pre-parallelism schema byte for byte.
-  void encode(WireWriter& w, std::uint32_t version = kProtocolVersion) const;
-  static SubmitQueryMsg decode(WireReader& r,
-                               std::uint32_t version = kProtocolVersion);
+  void encode(WireWriter& w) const;
+  static SubmitQueryMsg decode(WireReader& r);
 };
 
-/// Protocol v2: answer to kSubmitQuery. `fds` carries the ranked answer in
+/// Answer to kSubmitQuery. `fds` carries the ranked answer in
 /// rank order; the pruning counters mirror QueryStats so a client can see
 /// why the search stopped.
 struct QueryResultMsg {
@@ -273,14 +252,13 @@ struct HeartbeatMsg {
   static HeartbeatMsg decode(WireReader& r);
 };
 
-/// Protocol v3: the trace context a client stamps on a request. Carried by
-/// the kTracedRequest wrapper, whose payload is
+/// The trace context a client stamps on a request. Carried by the
+/// kTracedRequest wrapper, whose payload is
 ///
 ///   u64 trace_id | u64 span_id | u8 inner_type | inner payload bytes
 ///
 /// and whose request id is shared with the wrapped request. The wrapper adds
-/// exactly 17 bytes per request and leaves every inner schema untouched, so
-/// v1/v2 decoders (which reject trailing bytes) never see it.
+/// exactly 17 bytes per request and leaves every inner schema untouched.
 struct TraceContext {
   /// The client's trace id for this causal tree; 0 = untraced.
   std::uint64_t trace_id = 0;
@@ -296,9 +274,12 @@ std::vector<std::uint8_t> EncodeTracedFrame(
 /// Reads the trace context and inner type from a kTracedRequest payload.
 /// The reader is left positioned at the inner payload's first byte; the
 /// caller slices the remaining bytes as the wrapped request's payload.
+/// Throws WireError unless the inner type is a request (RequestTypeName is
+/// non-null): a wrapped hello, control frame, reply or envelope is a
+/// protocol error.
 TraceContext DecodeTracedHeader(WireReader& r, MsgType* inner_type);
 
-/// Protocol v3: per-request cost ledger, sent with the request's id
+/// Per-request cost ledger, sent with the request's id
 /// immediately after a *successful* result frame (never after kError), so a
 /// blocking client can read it deterministically. Mirrors obs CostLedger.
 struct CostTrailerMsg {

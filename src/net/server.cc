@@ -24,72 +24,6 @@ std::uint32_t TraceLane(std::uint64_t trace_id) {
   return 900000u + static_cast<std::uint32_t>(trace_id % 100000);
 }
 
-/// Stable request-type label for net.rpc.* metric names and /slowlog rows.
-const char* RequestTypeName(MsgType type) {
-  switch (type) {
-    case MsgType::kSubmitDiscovery: return "submit_discovery";
-    case MsgType::kSubmitQuery: return "submit_query";
-    case MsgType::kRegisterDataset: return "register_dataset";
-    case MsgType::kQueryCover: return "query_cover";
-    case MsgType::kApplyUpdate: return "apply_update";
-    case MsgType::kSubscribe: return "subscribe";
-    case MsgType::kHello:
-    case MsgType::kCredit:
-    case MsgType::kUnsubscribe:
-    case MsgType::kPing:
-    case MsgType::kGoodbye:
-    case MsgType::kTracedRequest:
-    case MsgType::kHelloOk:
-    case MsgType::kError:
-    case MsgType::kRegisterOk:
-    case MsgType::kDiscoveryResult:
-    case MsgType::kCoverResult:
-    case MsgType::kUpdateOk:
-    case MsgType::kSubscribeOk:
-    case MsgType::kCoverUpdate:
-    case MsgType::kStreamEnd:
-    case MsgType::kHeartbeat:
-    case MsgType::kPong:
-    case MsgType::kQueryResult:
-    case MsgType::kCostTrailer:
-      return "other";
-  }
-  return "other";
-}
-
-bool IsRequestType(MsgType type) {
-  switch (type) {
-    case MsgType::kSubmitDiscovery:
-    case MsgType::kSubmitQuery:
-    case MsgType::kRegisterDataset:
-    case MsgType::kQueryCover:
-    case MsgType::kApplyUpdate:
-    case MsgType::kSubscribe:
-      return true;
-    case MsgType::kHello:
-    case MsgType::kCredit:
-    case MsgType::kUnsubscribe:
-    case MsgType::kPing:
-    case MsgType::kGoodbye:
-    case MsgType::kTracedRequest:
-    case MsgType::kHelloOk:
-    case MsgType::kError:
-    case MsgType::kRegisterOk:
-    case MsgType::kDiscoveryResult:
-    case MsgType::kCoverResult:
-    case MsgType::kUpdateOk:
-    case MsgType::kSubscribeOk:
-    case MsgType::kCoverUpdate:
-    case MsgType::kStreamEnd:
-    case MsgType::kHeartbeat:
-    case MsgType::kPong:
-    case MsgType::kQueryResult:
-    case MsgType::kCostTrailer:
-      return false;
-  }
-  return false;
-}
-
 /// Appends a kCostTrailer frame (same request_id as the answer it follows)
 /// to `out`, so both ship in one write and the client reads the trailer
 /// deterministically right after the result.
@@ -114,6 +48,29 @@ void AppendCostTrailer(std::vector<std::uint8_t>* out,
 NullSemantics SemanticsFromWire(std::uint8_t v) {
   return v == 0 ? NullSemantics::kNullEqualsNull
                 : NullSemantics::kNullNotEqualsNull;
+}
+
+/// The job fields both submit messages carry: dataset, semantics, priority,
+/// the deadline, the parallelism request and the client's trace context.
+template <typename SubmitMsg>
+ProfileJob JobFromSubmit(const SubmitMsg& msg, const TraceContext& ctx) {
+  ProfileJob job;
+  job.dataset = msg.dataset;
+  job.options.semantics = SemanticsFromWire(msg.semantics);
+  job.priority = msg.priority;
+  // The request deadline becomes the job's cooperative time limit: the
+  // discovery loops poll it via util/deadline.h and stop past-due work
+  // instead of burning a worker on an answer nobody is waiting for.
+  job.time_limit_seconds = msg.deadline_ms / 1000.0;
+  // A hostile parallelism degree is harmless — the scheduler clamps to its
+  // pool size — but bound it anyway so the int cast is safe.
+  job.options.parallelism = static_cast<int>(
+      std::max<std::uint32_t>(1, std::min<std::uint32_t>(msg.parallelism,
+                                                         1u << 10)));
+  // Client-stamped trace context rides into the scheduler: svc.queue_wait
+  // and svc.job.run land in the same causal tree as the client's call span.
+  job.trace_id = ctx.trace_id;
+  return job;
 }
 
 std::vector<RankedFdMsg> TopRanked(const std::vector<FdRedundancy>& ranking,
@@ -431,70 +388,59 @@ void ProfilingServer::handle_readable(Connection& c) {
 }
 
 void ProfilingServer::dispatch(Connection& c, const Frame& frame) {
-  if (frame.type == MsgType::kTracedRequest) {
-    // Trace-context envelope (v3+): adopt the client-stamped ids, then
-    // dispatch the wrapped request as if it had arrived bare. The inner
-    // payload is the tail of the envelope's payload — no copy of the frame
-    // header, same request_id.
-    if (c.protocol_version < kTraceProtocolVersion) {
-      send_error(c, frame.request_id, ErrCode::kUnsupportedVersion,
-                 "traced requests require protocol version " +
-                     std::to_string(kTraceProtocolVersion) +
-                     "; this connection negotiated " +
-                     std::to_string(c.protocol_version));
-      return;
-    }
-    Frame inner;
-    TraceContext ctx;
-    try {
-      WireReader r(frame.payload);
-      MsgType inner_type;
-      ctx = DecodeTracedHeader(r, &inner_type);
-      inner.type = inner_type;
-      inner.request_id = frame.request_id;
-      inner.payload.assign(
-          frame.payload.begin() +
-              static_cast<std::ptrdiff_t>(frame.payload.size() - r.remaining()),
-          frame.payload.end());
-    } catch (const WireError&) {
-      m_protocol_errors_.inc();
-      drop_connection(c.id, "malformed traced envelope");
-      return;
-    }
-    TraceIdScope trace_scope(ctx.trace_id);
-    dispatch_request(c, inner, ctx);
-    return;
-  }
-  dispatch_request(c, frame, TraceContext{});
-}
-
-void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
-                                       const TraceContext& ctx) {
-  TraceSpan span(kObsNetDispatch);
   if (c.closing) return;  // goodbye already seen; ignore the tail
+  // Checked before any envelope is opened, so a wrapped frame can neither
+  // precede the handshake nor complete it.
   if (!c.got_hello && frame.type != MsgType::kHello) {
     m_protocol_errors_.inc();
     drop_connection(c.id, "first frame was not hello");
     return;
   }
+  if (frame.type != MsgType::kTracedRequest) {
+    dispatch_request(c, frame, TraceContext{});
+    return;
+  }
+  // Trace-context envelope: adopt the client-stamped ids, then dispatch the
+  // wrapped request as if it had arrived bare. The inner payload is the
+  // tail of the envelope's payload — no copy of the frame header, same
+  // request_id.
+  Frame inner;
+  TraceContext ctx;
+  try {
+    WireReader r(frame.payload);
+    MsgType inner_type;
+    ctx = DecodeTracedHeader(r, &inner_type);
+    inner.type = inner_type;
+    inner.request_id = frame.request_id;
+    inner.payload.assign(
+        frame.payload.begin() +
+            static_cast<std::ptrdiff_t>(frame.payload.size() - r.remaining()),
+        frame.payload.end());
+  } catch (const WireError&) {
+    m_protocol_errors_.inc();
+    drop_connection(c.id, "malformed traced envelope");
+    return;
+  }
+  TraceIdScope trace_scope(ctx.trace_id);
+  dispatch_request(c, inner, ctx);
+}
+
+void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
+                                       const TraceContext& ctx) {
+  TraceSpan span(kObsNetDispatch);
   try {
     switch (frame.type) {
       case MsgType::kHello: {
         WireReader r(frame.payload);
         HelloMsg hello = HelloMsg::decode(r);
-        if (hello.protocol_version < kMinProtocolVersion ||
-            hello.protocol_version > kProtocolVersion) {
+        if (hello.protocol_version != kProtocolVersion) {
           send_error(c, frame.request_id, ErrCode::kUnsupportedVersion,
-                     "server speaks protocol versions " +
-                         std::to_string(kMinProtocolVersion) + ".." +
+                     "server speaks protocol version " +
                          std::to_string(kProtocolVersion));
           c.closing = true;
           return;
         }
         c.got_hello = true;
-        // Negotiate down to the client's version; v2-only requests from a
-        // v1 connection get a clean per-request error, not a disconnect.
-        c.protocol_version = hello.protocol_version;
         // The hello name becomes the tenant key for cost attribution;
         // bounded so a hostile client cannot grow the tenant table rows.
         if (!hello.client_name.empty()) {
@@ -502,7 +448,6 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
         }
         c.tenant_slot = tenant_slot(c.client_name);
         HelloOkMsg ok;
-        ok.protocol_version = c.protocol_version;
         ok.max_inflight = options_.max_inflight;
         ok.credit_max = options_.credit_max;
         ok.heartbeat_seconds = options_.heartbeat_seconds;
@@ -522,11 +467,23 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
         handle_unsubscribe(c, frame);
         return;
       case MsgType::kRegisterDataset:
+        serve(c, frame, ctx, &ProfilingServer::handle_register);
+        return;
       case MsgType::kSubmitDiscovery:
+        serve(c, frame, ctx, &ProfilingServer::handle_submit_discovery);
+        return;
       case MsgType::kQueryCover:
+        serve(c, frame, ctx, &ProfilingServer::handle_query_cover);
+        return;
       case MsgType::kApplyUpdate:
+        serve(c, frame, ctx, &ProfilingServer::handle_apply_update);
+        return;
       case MsgType::kSubscribe:
+        serve(c, frame, ctx, &ProfilingServer::handle_subscribe);
+        return;
       case MsgType::kSubmitQuery:
+        serve(c, frame, ctx, &ProfilingServer::handle_submit_query);
+        return;
       case MsgType::kTracedRequest:
       case MsgType::kHelloOk:
       case MsgType::kError:
@@ -541,72 +498,10 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
       case MsgType::kPong:
       case MsgType::kQueryResult:
       case MsgType::kCostTrailer:
-        break;  // falls through to the quota-charged request path below
-    }
-
-    // Everything below is a real request: quota-charged, and refused
-    // outright while draining.
-    RpcFinish reject;
-    reject.rtype = RequestTypeName(frame.type);
-    reject.outcome = "rejected";
-    reject.request_id = frame.request_id;
-    reject.trace_id = ctx.trace_id;
-    if (draining_) {
-      if (IsRequestType(frame.type)) record_rpc(c, reject, 0);
-      send_error(c, frame.request_id, ErrCode::kShuttingDown,
-                 "server is draining");
-      return;
-    }
-    m_requests_.inc();
-    if (!c.bucket.try_take(now())) {
-      metrics_->counter(kObsNetQuotaRejects).inc();
-      if (IsRequestType(frame.type)) record_rpc(c, reject, 0);
-      send_error(c, frame.request_id, ErrCode::kQuotaExceeded,
-                 "request quota exhausted; slow down");
-      return;
-    }
-    switch (frame.type) {
-      case MsgType::kSubmitDiscovery:
-        handle_submit_discovery(c, frame, ctx);
-        return;
-      case MsgType::kSubmitQuery:
-        handle_submit_query(c, frame, ctx);
-        return;
-      case MsgType::kRegisterDataset:
-        handle_register(c, frame, ctx);
-        return;
-      case MsgType::kQueryCover:
-        handle_query_cover(c, frame, ctx);
-        return;
-      case MsgType::kApplyUpdate:
-        handle_apply_update(c, frame, ctx);
-        return;
-      case MsgType::kSubscribe:
-        handle_subscribe(c, frame);
-        return;
-      case MsgType::kHello:
-      case MsgType::kCredit:
-      case MsgType::kUnsubscribe:
-      case MsgType::kPing:
-      case MsgType::kGoodbye:
-      case MsgType::kTracedRequest:
-      case MsgType::kHelloOk:
-      case MsgType::kError:
-      case MsgType::kRegisterOk:
-      case MsgType::kDiscoveryResult:
-      case MsgType::kCoverResult:
-      case MsgType::kUpdateOk:
-      case MsgType::kSubscribeOk:
-      case MsgType::kCoverUpdate:
-      case MsgType::kStreamEnd:
-      case MsgType::kHeartbeat:
-      case MsgType::kPong:
-      case MsgType::kQueryResult:
-      case MsgType::kCostTrailer:
-        // A known type that is not a client request: server->client codes,
-        // a nested kTracedRequest, or control frames already handled above.
-        m_protocol_errors_.inc();
-        drop_connection(c.id, "unexpected message direction");
+        // Server->client codes (a nested kTracedRequest never gets here:
+        // DecodeTracedHeader refuses it) pass the same drain and quota
+        // gates as a request, then cost the connection.
+        serve(c, frame, ctx, nullptr);
         return;
     }
   } catch (const WireError&) {
@@ -616,68 +511,66 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
   }
 }
 
+void ProfilingServer::serve(Connection& c, const Frame& frame,
+                            const TraceContext& ctx, RequestHandler handler) {
+  // Everything here is quota-charged, and refused outright while draining.
+  if (draining_) {
+    refuse(c, frame, ctx, "rejected", ErrCode::kShuttingDown,
+           "server is draining");
+    return;
+  }
+  m_requests_.inc();
+  if (!c.bucket.try_take(now())) {
+    metrics_->counter(kObsNetQuotaRejects).inc();
+    refuse(c, frame, ctx, "rejected", ErrCode::kQuotaExceeded,
+           "request quota exhausted; slow down");
+    return;
+  }
+  if (handler == nullptr) {
+    m_protocol_errors_.inc();
+    drop_connection(c.id, "unexpected message direction");
+    return;
+  }
+  (this->*handler)(c, frame, ctx);
+}
+
+void ProfilingServer::refuse(Connection& c, const Frame& frame,
+                             const TraceContext& ctx, const char* outcome,
+                             ErrCode code, const std::string& message) {
+  RpcFinish fin;
+  fin.rtype = RequestTypeName(frame.type);
+  fin.outcome = outcome;
+  fin.request_id = frame.request_id;
+  fin.trace_id = ctx.trace_id;
+  if (fin.rtype != nullptr) record_rpc(c, fin, 0);
+  send_error(c, frame.request_id, code, message);
+}
+
+bool ProfilingServer::admit(Connection& c, const Frame& frame,
+                            const TraceContext& ctx) {
+  if (c.inflight.try_acquire()) return true;
+  metrics_->counter(kObsNetInflightRejects).inc();
+  refuse(c, frame, ctx, "rejected", ErrCode::kTooManyInFlight,
+         "in-flight window full (" + std::to_string(c.inflight.max()) + ")");
+  return false;
+}
+
 void ProfilingServer::handle_submit_discovery(Connection& c,
                                               const Frame& frame,
                                               const TraceContext& ctx) {
   WireReader r(frame.payload);
-  SubmitDiscoveryMsg msg = SubmitDiscoveryMsg::decode(r, c.protocol_version);
-  RpcFinish reject;
-  reject.rtype = "submit_discovery";
-  reject.outcome = "rejected";
-  reject.request_id = frame.request_id;
-  reject.trace_id = ctx.trace_id;
-  if (!c.inflight.try_acquire()) {
-    metrics_->counter(kObsNetInflightRejects).inc();
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
-               "in-flight window full (" + std::to_string(c.inflight.max()) +
-                   ")");
-    return;
-  }
-  ProfileJob job;
-  job.dataset = msg.dataset;
+  SubmitDiscoveryMsg msg = SubmitDiscoveryMsg::decode(r);
+  ProfileJob job = JobFromSubmit(msg, ctx);
   job.options.algorithm = msg.algorithm;
-  job.options.semantics = SemanticsFromWire(msg.semantics);
-  job.priority = msg.priority;
-  // The request deadline becomes the job's cooperative time limit: the
-  // discovery loops poll it via util/deadline.h and stop past-due work
-  // instead of burning a worker on an answer nobody is waiting for.
-  job.time_limit_seconds = msg.deadline_ms / 1000.0;
-  // v4 parallelism request: a hostile degree is harmless — the scheduler
-  // clamps to its pool size — but bound it anyway so the int cast is safe.
-  job.options.parallelism = static_cast<int>(
-      std::max<std::uint32_t>(1, std::min<std::uint32_t>(msg.parallelism,
-                                                         1u << 10)));
-  // Client-stamped trace context rides into the scheduler: svc.queue_wait
-  // and svc.job.run land in the same causal tree as the client's call span.
-  job.trace_id = ctx.trace_id;
-  JobHandlePtr handle = scheduler_->submit(std::move(job));
-  if (handle->rejected()) {
-    c.inflight.release();
-    metrics_->counter(kObsNetBusyRejects).inc();
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kServerBusy, handle->error());
-    return;
-  }
-  PendingJob pending{c.id, frame.request_id, msg.top_k, now(),
-                     std::move(handle)};
-  pending.want_trailer = c.protocol_version >= kTraceProtocolVersion &&
-                         ctx.trace_id != 0;
-  pending_jobs_.push_back(std::move(pending));
+  PendingJob pending;
+  pending.top_k = msg.top_k;
+  submit_job(c, frame, ctx, std::move(job), std::move(pending));
 }
 
 void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
                                           const TraceContext& ctx) {
-  if (c.protocol_version < kQueryProtocolVersion) {
-    send_error(c, frame.request_id, ErrCode::kUnsupportedVersion,
-               "submit_query requires protocol version " +
-                   std::to_string(kQueryProtocolVersion) +
-                   "; this connection negotiated " +
-                   std::to_string(c.protocol_version));
-    return;
-  }
   WireReader r(frame.payload);
-  SubmitQueryMsg msg = SubmitQueryMsg::decode(r, c.protocol_version);
+  SubmitQueryMsg msg = SubmitQueryMsg::decode(r);
   DiscoveryQuery query;
   query.epsilon = msg.epsilon;
   query.max_lhs = static_cast<int>(
@@ -699,252 +592,161 @@ void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
     send_error(c, frame.request_id, ErrCode::kBadRequest, spec_error);
     return;
   }
-  RpcFinish reject;
-  reject.rtype = "submit_query";
-  reject.outcome = "rejected";
-  reject.request_id = frame.request_id;
-  reject.trace_id = ctx.trace_id;
-  if (!c.inflight.try_acquire()) {
-    metrics_->counter(kObsNetInflightRejects).inc();
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
-               "in-flight window full (" + std::to_string(c.inflight.max()) +
-                   ")");
-    return;
-  }
-  ProfileJob job;
-  job.dataset = msg.dataset;
-  job.options.semantics = SemanticsFromWire(msg.semantics);
+  ProfileJob job = JobFromSubmit(msg, ctx);
+  PendingJob pending;
+  pending.top_k = msg.top_k;
+  pending.is_query = true;
   // Route the discovery stage through the query engine; the ranked answer
-  // lands in `query_slot` once the handle finishes.
-  std::shared_ptr<QueryResultSlot> query_slot =
-      BindQueryToProfile(job.options, std::move(query));
+  // lands in the slot once the handle finishes.
+  pending.query_slot = BindQueryToProfile(job.options, std::move(query));
   // The full-profile tail stages add nothing to a query answer.
   job.options.canonicalize_and_rank = false;
-  job.priority = msg.priority;
-  job.time_limit_seconds = msg.deadline_ms / 1000.0;
-  job.options.parallelism = static_cast<int>(
-      std::max<std::uint32_t>(1, std::min<std::uint32_t>(msg.parallelism,
-                                                         1u << 10)));
-  job.trace_id = ctx.trace_id;
+  submit_job(c, frame, ctx, std::move(job), std::move(pending));
+}
+
+void ProfilingServer::submit_job(Connection& c, const Frame& frame,
+                                 const TraceContext& ctx, ProfileJob job,
+                                 PendingJob pending) {
+  // A job on a missing dataset could only fail; answer before it takes a
+  // window slot or a scheduler slot.
+  if (!datasets_->contains(job.dataset)) {
+    refuse(c, frame, ctx, "error", ErrCode::kUnknownDataset,
+           "no dataset named '" + job.dataset + "'");
+    return;
+  }
+  if (!admit(c, frame, ctx)) return;
   JobHandlePtr handle = scheduler_->submit(std::move(job));
   if (handle->rejected()) {
     c.inflight.release();
     metrics_->counter(kObsNetBusyRejects).inc();
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kServerBusy, handle->error());
+    refuse(c, frame, ctx, "rejected", ErrCode::kServerBusy, handle->error());
     return;
   }
-  PendingJob pending{c.id, frame.request_id, msg.top_k, now(),
-                     std::move(handle), /*is_query=*/true,
-                     std::move(query_slot)};
-  pending.want_trailer = c.protocol_version >= kTraceProtocolVersion &&
-                         ctx.trace_id != 0;
+  pending.conn_id = c.id;
+  pending.request_id = frame.request_id;
+  pending.started = now();
+  pending.handle = std::move(handle);
+  pending.want_trailer = ctx.trace_id != 0;
   pending_jobs_.push_back(std::move(pending));
+}
+
+void ProfilingServer::run_on_ops_pool(Connection& c, const Frame& frame,
+                                      const TraceContext& ctx,
+                                      ErrCode on_throw, OpsBody body) {
+  if (!admit(c, frame, ctx)) return;
+  // Blocking service calls run on the ops pool so the event loop never
+  // waits on them; the answer comes back through the completion queue. The
+  // pool inherits the dispatch-time TraceIdScope, so spans inside the task
+  // land on the client's trace.
+  Completion done;
+  done.conn_id = c.id;
+  done.started = now();
+  done.finish.rtype = RequestTypeName(frame.type);
+  done.finish.request_id = frame.request_id;
+  done.finish.trace_id = ctx.trace_id;
+  Tracer& tracer = Tracer::Global();
+  std::int64_t enq_us =
+      (ctx.trace_id != 0 && tracer.enabled()) ? tracer.now_us() : 0;
+  bool submitted = ops_pool_.submit([this, done = std::move(done), on_throw,
+                                     enq_us, body = std::move(body)]() mutable {
+    RpcFinish& fin = done.finish;
+    Tracer& tracer = Tracer::Global();
+    if (enq_us != 0 && tracer.enabled()) {
+      tracer.record_span(kObsNetQueueWait, fin.trace_id, enq_us,
+                         tracer.now_us(), TraceLane(fin.trace_id));
+    }
+    double run_start = now();
+    bool ok = false;
+    {
+      // CPU attribution costs a thread-CPU clock syscall on each end;
+      // only traced requests opted into that. Counter classification
+      // (validations, partitions, cache traffic) stays on for everyone.
+      CostLedgerScope cost_scope(&fin.cost, /*charge_cpu=*/fin.trace_id != 0);
+      TraceSpan run_span(kObsNetOpsRun);
+      try {
+        ok = body(fin.request_id, &done.frame);
+      } catch (const std::exception& e) {
+        ErrorMsg err{on_throw, e.what()};
+        done.frame = EncodeMsgFrame(MsgType::kError, fin.request_id, err);
+      }
+    }
+    fin.outcome = ok ? "ok" : "error";
+    fin.cost.bytes_streamed = static_cast<std::int64_t>(done.frame.size());
+    fin.queue_seconds = run_start - done.started;
+    fin.run_seconds = now() - run_start;
+    fin.has_cost = true;
+    if (ok && fin.trace_id != 0) {
+      AppendCostTrailer(&done.frame, fin.request_id, fin.cost,
+                        fin.queue_seconds, fin.run_seconds);
+    }
+    {
+      MutexLock lock(&mu_);
+      completions_.push_back(std::move(done));
+    }
+    wake_.wake();
+  });
+  if (!submitted) {
+    c.inflight.release();
+    send_error(c, frame.request_id, ErrCode::kShuttingDown,
+               "server is shutting down");
+  }
 }
 
 void ProfilingServer::handle_register(Connection& c, const Frame& frame,
                                       const TraceContext& ctx) {
   WireReader r(frame.payload);
-  auto msg = std::make_shared<RegisterDatasetMsg>(
-      RegisterDatasetMsg::decode(r));
-  if (!c.inflight.try_acquire()) {
-    metrics_->counter(kObsNetInflightRejects).inc();
-    RpcFinish reject;
-    reject.rtype = "register_dataset";
-    reject.outcome = "rejected";
-    reject.request_id = frame.request_id;
-    reject.trace_id = ctx.trace_id;
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
-               "in-flight window full");
-    return;
-  }
+  RegisterDatasetMsg msg = RegisterDatasetMsg::decode(r);
   // CSV parsing and (for live datasets) the synchronous initial discovery
-  // are far too slow for the event loop; they run on the ops pool and come
-  // back through the completion queue. The pool inherits the dispatch-time
-  // TraceIdScope, so spans inside the task land on the client's trace.
-  std::uint64_t conn_id = c.id;
-  std::uint64_t request_id = frame.request_id;
-  double started = now();
-  std::uint64_t trace_id = ctx.trace_id;
-  bool want_trailer = c.protocol_version >= kTraceProtocolVersion &&
-                         ctx.trace_id != 0;
-  Tracer& tracer = Tracer::Global();
-  std::int64_t enq_us =
-      (trace_id != 0 && tracer.enabled()) ? tracer.now_us() : 0;
-  bool submitted = ops_pool_.submit([this, conn_id, request_id, started, msg,
-                                     trace_id, want_trailer, enq_us] {
-    Tracer& tracer = Tracer::Global();
-    if (enq_us != 0 && tracer.enabled()) {
-      tracer.record_span(kObsNetQueueWait, trace_id, enq_us, tracer.now_us(),
-                         TraceLane(trace_id));
-    }
-    double run_start = now();
-    CostLedger cost;
-    std::vector<std::uint8_t> reply;
-    bool ok = false;
-    {
-      // CPU attribution costs a thread-CPU clock syscall on each end;
-      // only traced requests opted into that. Counter classification
-      // (validations, partitions, cache traffic) stays on for everyone.
-      CostLedgerScope cost_scope(&cost, /*charge_cpu=*/trace_id != 0);
-      TraceSpan run_span(kObsNetOpsRun);
-      try {
-        RawTable table = ParseCsvString(msg->csv_text);
-        RegisterOkMsg okmsg;
-        okmsg.rows = static_cast<std::uint32_t>(table.num_rows());
-        okmsg.cols = static_cast<std::uint32_t>(table.num_cols());
-        datasets_->add_table(msg->name, table);
-        if (msg->live && !live_->contains(msg->name)) {
+  // are far too slow for the event loop.
+  run_on_ops_pool(
+      c, frame, ctx, ErrCode::kBadRequest,
+      [this, msg = std::move(msg)](std::uint64_t request_id,
+                                   std::vector<std::uint8_t>* reply) {
+        RawTable table = ParseCsvString(msg.csv_text);
+        RegisterOkMsg ok;
+        ok.rows = static_cast<std::uint32_t>(table.num_rows());
+        ok.cols = static_cast<std::uint32_t>(table.num_cols());
+        datasets_->add_table(msg.name, table);
+        if (msg.live && !live_->contains(msg.name)) {
           LiveDatasetOptions opts;
-          opts.semantics = SemanticsFromWire(msg->semantics);
-          live_->create(msg->name, std::move(table), opts);
+          opts.semantics = SemanticsFromWire(msg.semantics);
+          live_->create(msg.name, std::move(table), opts);
         }
-        reply = EncodeMsgFrame(MsgType::kRegisterOk, request_id, okmsg);
-        ok = true;
-      } catch (const std::exception& e) {
-        ErrorMsg err{ErrCode::kBadRequest, e.what()};
-        reply = EncodeMsgFrame(MsgType::kError, request_id, err);
-      }
-    }
-    cost.bytes_streamed = static_cast<std::int64_t>(reply.size());
-    Completion done{conn_id, std::vector<std::uint8_t>(), started, true};
-    done.finish.rtype = "register_dataset";
-    done.finish.outcome = ok ? "ok" : "error";
-    done.finish.request_id = request_id;
-    done.finish.trace_id = trace_id;
-    done.finish.queue_seconds = run_start - started;
-    done.finish.run_seconds = now() - run_start;
-    done.finish.has_cost = true;
-    done.finish.cost = cost;
-    if (ok && want_trailer) {
-      AppendCostTrailer(&reply, request_id, cost, done.finish.queue_seconds,
-                        done.finish.run_seconds);
-    }
-    done.frame = std::move(reply);
-    {
-      MutexLock lock(&mu_);
-      completions_.push_back(std::move(done));
-    }
-    wake_.wake();
-  });
-  if (!submitted) {
-    c.inflight.release();
-    send_error(c, frame.request_id, ErrCode::kShuttingDown,
-               "server is shutting down");
-  }
+        *reply = EncodeMsgFrame(MsgType::kRegisterOk, request_id, ok);
+        return true;
+      });
 }
 
 void ProfilingServer::handle_query_cover(Connection& c, const Frame& frame,
                                          const TraceContext& ctx) {
   WireReader r(frame.payload);
-  auto msg = std::make_shared<QueryCoverMsg>(QueryCoverMsg::decode(r));
-  if (!c.inflight.try_acquire()) {
-    metrics_->counter(kObsNetInflightRejects).inc();
-    RpcFinish reject;
-    reject.rtype = "query_cover";
-    reject.outcome = "rejected";
-    reject.request_id = frame.request_id;
-    reject.trace_id = ctx.trace_id;
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
-               "in-flight window full");
-    return;
-  }
+  QueryCoverMsg msg = QueryCoverMsg::decode(r);
   // The ranking snapshot takes the dataset's profile lock, which a running
-  // update batch may hold for a while — off the loop thread it goes.
-  std::uint64_t conn_id = c.id;
-  std::uint64_t request_id = frame.request_id;
-  double started = now();
-  std::uint64_t trace_id = ctx.trace_id;
-  bool want_trailer = c.protocol_version >= kTraceProtocolVersion &&
-                         ctx.trace_id != 0;
-  Tracer& tracer = Tracer::Global();
-  std::int64_t enq_us =
-      (trace_id != 0 && tracer.enabled()) ? tracer.now_us() : 0;
-  bool submitted = ops_pool_.submit([this, conn_id, request_id, started, msg,
-                                     trace_id, want_trailer, enq_us] {
-    Tracer& tracer = Tracer::Global();
-    if (enq_us != 0 && tracer.enabled()) {
-      tracer.record_span(kObsNetQueueWait, trace_id, enq_us, tracer.now_us(),
-                         TraceLane(trace_id));
-    }
-    double run_start = now();
-    CostLedger cost;
-    std::vector<std::uint8_t> reply;
-    bool ok = false;
-    {
-      // CPU attribution costs a thread-CPU clock syscall on each end;
-      // only traced requests opted into that. Counter classification
-      // (validations, partitions, cache traffic) stays on for everyone.
-      CostLedgerScope cost_scope(&cost, /*charge_cpu=*/trace_id != 0);
-      TraceSpan run_span(kObsNetOpsRun);
-      try {
-        if (!live_->contains(msg->dataset)) {
+  // update batch may hold for a while.
+  run_on_ops_pool(
+      c, frame, ctx, ErrCode::kInternal,
+      [this, msg = std::move(msg)](std::uint64_t request_id,
+                                   std::vector<std::uint8_t>* reply) {
+        if (!live_->contains(msg.dataset)) {
           ErrorMsg err{ErrCode::kUnknownDataset,
-                       "no live dataset named '" + msg->dataset + "'"};
-          reply = EncodeMsgFrame(MsgType::kError, request_id, err);
-        } else {
-          std::vector<FdRedundancy> ranking = live_->ranking(msg->dataset);
-          CoverResultMsg okmsg;
-          okmsg.total = static_cast<std::uint32_t>(ranking.size());
-          okmsg.top = TopRanked(
-              ranking, msg->top_k == 0
-                           ? static_cast<std::uint32_t>(ranking.size())
-                           : msg->top_k);
-          reply = EncodeMsgFrame(MsgType::kCoverResult, request_id, okmsg);
-          ok = true;
+                       "no live dataset named '" + msg.dataset + "'"};
+          *reply = EncodeMsgFrame(MsgType::kError, request_id, err);
+          return false;
         }
-      } catch (const std::exception& e) {
-        ErrorMsg err{ErrCode::kInternal, e.what()};
-        reply = EncodeMsgFrame(MsgType::kError, request_id, err);
-      }
-    }
-    cost.bytes_streamed = static_cast<std::int64_t>(reply.size());
-    Completion done{conn_id, std::vector<std::uint8_t>(), started, true};
-    done.finish.rtype = "query_cover";
-    done.finish.outcome = ok ? "ok" : "error";
-    done.finish.request_id = request_id;
-    done.finish.trace_id = trace_id;
-    done.finish.queue_seconds = run_start - started;
-    done.finish.run_seconds = now() - run_start;
-    done.finish.has_cost = true;
-    done.finish.cost = cost;
-    if (ok && want_trailer) {
-      AppendCostTrailer(&reply, request_id, cost, done.finish.queue_seconds,
-                        done.finish.run_seconds);
-    }
-    done.frame = std::move(reply);
-    {
-      MutexLock lock(&mu_);
-      completions_.push_back(std::move(done));
-    }
-    wake_.wake();
-  });
-  if (!submitted) {
-    c.inflight.release();
-    send_error(c, frame.request_id, ErrCode::kShuttingDown,
-               "server is shutting down");
-  }
+        std::vector<FdRedundancy> ranking = live_->ranking(msg.dataset);
+        CoverResultMsg ok;
+        ok.total = static_cast<std::uint32_t>(ranking.size());
+        ok.top = TopRanked(ranking, msg.top_k == 0 ? ok.total : msg.top_k);
+        *reply = EncodeMsgFrame(MsgType::kCoverResult, request_id, ok);
+        return true;
+      });
 }
 
 void ProfilingServer::handle_apply_update(Connection& c, const Frame& frame,
                                           const TraceContext& ctx) {
   WireReader r(frame.payload);
   ApplyUpdateMsg msg = ApplyUpdateMsg::decode(r);
-  if (!c.inflight.try_acquire()) {
-    metrics_->counter(kObsNetInflightRejects).inc();
-    RpcFinish reject;
-    reject.rtype = "apply_update";
-    reject.outcome = "rejected";
-    reject.request_id = frame.request_id;
-    reject.trace_id = ctx.trace_id;
-    record_rpc(c, reject, 0);
-    send_error(c, frame.request_id, ErrCode::kTooManyInFlight,
-               "in-flight window full");
-    return;
-  }
+  if (!admit(c, frame, ctx)) return;
   UpdateJob job;
   job.dataset = msg.dataset;
   job.batch.inserts = std::move(msg.inserts);
@@ -953,13 +755,13 @@ void ProfilingServer::handle_apply_update(Connection& c, const Frame& frame,
   // spans and the resulting CoverChangeEvent all carry the client's id.
   job.trace_id = ctx.trace_id;
   UpdateJobHandlePtr handle = live_->submit(std::move(job));
-  PendingUpdate pending{c.id, frame.request_id, now(), std::move(handle)};
-  pending.want_trailer = c.protocol_version >= kTraceProtocolVersion &&
-                         ctx.trace_id != 0;
-  pending_updates_.push_back(std::move(pending));
+  pending_updates_.push_back(PendingUpdate{c.id, frame.request_id, now(),
+                                           std::move(handle),
+                                           ctx.trace_id != 0});
 }
 
-void ProfilingServer::handle_subscribe(Connection& c, const Frame& frame) {
+void ProfilingServer::handle_subscribe(Connection& c, const Frame& frame,
+                                       const TraceContext&) {
   WireReader r(frame.payload);
   SubscribeMsg msg = SubscribeMsg::decode(r);
   if (!msg.dataset.empty() && !live_->contains(msg.dataset)) {
@@ -1043,7 +845,8 @@ void ProfilingServer::finish_job(const PendingJob& job) {
   m_request_seconds_.record(duration);
 
   RpcFinish fin;
-  fin.rtype = job.is_query ? "submit_query" : "submit_discovery";
+  fin.rtype = RequestTypeName(job.is_query ? MsgType::kSubmitQuery
+                                           : MsgType::kSubmitDiscovery);
   fin.outcome = "ok";
   fin.request_id = job.request_id;
   fin.trace_id = job.handle->trace_id();
@@ -1064,69 +867,61 @@ void ProfilingServer::finish_job(const PendingJob& job) {
     return;
   }
 
+  // A cancelled or deadline-expired run still finishes with a (partial)
+  // report; on the wire that distinction is the state string.
+  std::string wire_state = JobStateName(state);
+  const ProfileReport* report = nullptr;
+  try {
+    report = &job.handle->report();
+    if (report->cancelled) {
+      wire_state = "cancelled";
+    } else if (report->discovery.stats.timed_out) {
+      wire_state = "deadline_expired";
+    }
+  } catch (const std::exception&) {
+    // Cancelled before it started: no report, counts stay zero.
+  }
+  if (wire_state == "cancelled") fin.outcome = "cancelled";
+  if (wire_state == "deadline_expired") fin.outcome = "deadline_expired";
+
   std::vector<std::uint8_t> reply;
   if (job.is_query) {
     QueryResultMsg msg;
-    msg.state = JobStateName(state);
-    msg.queue_seconds = job.handle->queue_seconds();
-    msg.run_seconds = job.handle->run_seconds();
-    try {
-      const ProfileReport& report = job.handle->report();
-      if (job.query_slot != nullptr && job.query_slot->result.has_value()) {
-        const QueryResult& qr = *job.query_slot->result;
-        msg.total = static_cast<std::uint32_t>(qr.fds.size());
-        msg.early_terminated = qr.stats.early_terminated;
-        msg.timed_out = qr.stats.timed_out;
-        msg.validations = static_cast<std::uint64_t>(qr.stats.validations);
-        msg.pruned_epsilon = static_cast<std::uint64_t>(qr.stats.pruned_epsilon);
-        msg.pruned_arity = static_cast<std::uint64_t>(qr.stats.pruned_arity);
-        msg.pruned_bound = static_cast<std::uint64_t>(qr.stats.pruned_bound);
-        msg.fds.reserve(qr.fds.size());
-        for (const RankedFd& f : qr.fds) {
-          msg.fds.push_back(
-              {f.fd.to_string(), static_cast<double>(f.score)});
-        }
+    msg.state = wire_state;
+    msg.queue_seconds = fin.queue_seconds;
+    msg.run_seconds = fin.run_seconds;
+    if (report != nullptr && job.query_slot->result.has_value()) {
+      const QueryResult& qr = *job.query_slot->result;
+      msg.total = static_cast<std::uint32_t>(qr.fds.size());
+      msg.early_terminated = qr.stats.early_terminated;
+      msg.timed_out = qr.stats.timed_out;
+      msg.validations = static_cast<std::uint64_t>(qr.stats.validations);
+      msg.pruned_epsilon = static_cast<std::uint64_t>(qr.stats.pruned_epsilon);
+      msg.pruned_arity = static_cast<std::uint64_t>(qr.stats.pruned_arity);
+      msg.pruned_bound = static_cast<std::uint64_t>(qr.stats.pruned_bound);
+      msg.fds.reserve(qr.fds.size());
+      for (const RankedFd& f : qr.fds) {
+        msg.fds.push_back({f.fd.to_string(), static_cast<double>(f.score)});
       }
-      if (report.cancelled) {
-        msg.state = "cancelled";
-      } else if (report.discovery.stats.timed_out) {
-        msg.state = "deadline_expired";
-      }
-    } catch (const std::exception&) {
-      // Cancelled before it started: no report, counts stay zero.
     }
-    if (msg.state == "cancelled") fin.outcome = "cancelled";
-    if (msg.state == "deadline_expired") fin.outcome = "deadline_expired";
     reply = EncodeMsgFrame(MsgType::kQueryResult, job.request_id, msg);
   } else {
     DiscoveryResultMsg msg;
-    msg.state = JobStateName(state);
-    msg.queue_seconds = job.handle->queue_seconds();
-    msg.run_seconds = job.handle->run_seconds();
-    try {
-      const ProfileReport& report = job.handle->report();
-      msg.cover_size = static_cast<std::uint32_t>(report.discovery.fds.size());
-      msg.canonical_size = static_cast<std::uint32_t>(report.canonical.size());
-      msg.top = TopRanked(report.ranking, job.top_k);
-      // A cancelled or deadline-expired run still finishes with a (partial)
-      // report; on the wire that distinction is the state string.
-      if (report.cancelled) {
-        msg.state = "cancelled";
-      } else if (report.discovery.stats.timed_out) {
-        msg.state = "deadline_expired";
-      }
-    } catch (const std::exception&) {
-      // Cancelled before it started: no report, counts stay zero.
+    msg.state = wire_state;
+    msg.queue_seconds = fin.queue_seconds;
+    msg.run_seconds = fin.run_seconds;
+    if (report != nullptr) {
+      msg.cover_size = static_cast<std::uint32_t>(report->discovery.fds.size());
+      msg.canonical_size = static_cast<std::uint32_t>(report->canonical.size());
+      msg.top = TopRanked(report->ranking, job.top_k);
     }
-    if (msg.state == "cancelled") fin.outcome = "cancelled";
-    if (msg.state == "deadline_expired") fin.outcome = "deadline_expired";
     reply = EncodeMsgFrame(MsgType::kDiscoveryResult, job.request_id, msg);
   }
   fin.cost.bytes_streamed += static_cast<std::int64_t>(reply.size());
   if (job.want_trailer) {
     // Any result frame (including cancelled / deadline_expired partials)
-    // gets the trailer; only kError answers go bare, so a v3 client reads
-    // the trailer exactly when it got a result.
+    // gets the trailer; only kError answers go bare, so a client reads the
+    // trailer exactly when it got a result.
     AppendCostTrailer(&reply, job.request_id, fin.cost, fin.queue_seconds,
                       fin.run_seconds);
   }
@@ -1142,7 +937,7 @@ void ProfilingServer::finish_update(const PendingUpdate& update) {
   double duration = now() - update.started;
   m_request_seconds_.record(duration);
   RpcFinish fin;
-  fin.rtype = "apply_update";
+  fin.rtype = RequestTypeName(MsgType::kApplyUpdate);
   fin.outcome = "ok";
   fin.request_id = update.request_id;
   fin.trace_id = update.handle->trace_id();
@@ -1250,15 +1045,12 @@ void ProfilingServer::flush_completions() {
     auto it = conns_.find(done.conn_id);
     if (it == conns_.end()) continue;
     Connection& c = *it->second;
-    if (done.release_inflight) c.inflight.release();
-    if (done.started >= 0) {
-      m_request_seconds_.record(now() - done.started);
-    }
+    c.inflight.release();
+    double duration = now() - done.started;
+    m_request_seconds_.record(duration);
     // Telemetry computed off-loop is applied here, on the loop thread that
     // owns the slow ring and tenant table.
-    if (done.finish.rtype[0] != '\0') {
-      record_rpc(c, done.finish, now() - done.started);
-    }
+    record_rpc(c, done.finish, duration);
     send_frame(c, std::move(done.frame));
   }
 }

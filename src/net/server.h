@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -170,10 +171,6 @@ class ProfilingServer {
     double last_recv = 0;
     double last_send = 0;
     bool got_hello = false;
-    /// Negotiated at the hello handshake: min(client, server). Gates
-    /// version-specific requests (kSubmitQuery needs v2) without breaking
-    /// older clients.
-    std::uint32_t protocol_version = 0;
     /// Flush the outbound buffer, then close (goodbye / stream-end paths).
     bool closing = false;
     /// The socket failed mid-write (peer reset, buffer overflow). The
@@ -228,7 +225,7 @@ class ProfilingServer {
     /// discovery stage through the query engine and parks the ranked
     /// answer here; safe to read once handle->finished() is true.
     std::shared_ptr<QueryResultSlot> query_slot;
-    /// The connection negotiated v3+: successful answers get a kCostTrailer.
+    /// The request arrived traced: successful answers get a kCostTrailer.
     bool want_trailer = false;
   };
   struct PendingUpdate {
@@ -239,7 +236,8 @@ class ProfilingServer {
     bool want_trailer = false;
   };
   /// RPC telemetry computed off-loop, applied on the loop thread where the
-  /// slow ring, tracez ring, and tenant aggregation live. rtype "" = none.
+  /// slow ring, tracez ring, and tenant aggregation live. rtype is a
+  /// RequestTypeName label.
   struct RpcFinish {
     const char* rtype = "";
     const char* outcome = "";
@@ -250,15 +248,22 @@ class ProfilingServer {
     bool has_cost = false;
     CostLedger cost;
   };
-  /// A frame produced off-loop (ops pool / LiveStore workers) for a
-  /// connection, delivered through the completion queue + wake pipe.
+  /// An ops-pool request's answer (reply frame, plus its cost trailer
+  /// when traced), delivered through the completion queue + wake pipe.
+  /// Delivery releases the request's in-flight slot.
   struct Completion {
     std::uint64_t conn_id = 0;
     std::vector<std::uint8_t> frame;
-    double started = 0;   // request start time; <0 = not a request answer
-    bool release_inflight = false;
+    double started = 0;   // request start time
     RpcFinish finish;
   };
+  /// Runs on an ops-pool thread: writes the reply frame for `request_id`
+  /// into *reply and returns whether the request succeeded.
+  using OpsBody =
+      std::function<bool(std::uint64_t request_id,
+                         std::vector<std::uint8_t>* reply)>;
+  using RequestHandler = void (ProfilingServer::*)(Connection&, const Frame&,
+                                                   const TraceContext&);
 
   void loop();
   double now() const;
@@ -272,6 +277,31 @@ class ProfilingServer {
   /// the request was not traced); runs under TraceIdScope(ctx.trace_id).
   void dispatch_request(Connection& c, const Frame& frame,
                         const TraceContext& ctx);
+
+  // The request lifecycle, one copy of each step (loop thread only).
+  /// Refuses every request while draining and charges the rate quota
+  /// (admission layer 2), then runs `handler` (null: the frame was a
+  /// server->client type, which drops the connection).
+  void serve(Connection& c, const Frame& frame, const TraceContext& ctx,
+             RequestHandler handler);
+  /// Records the refused request under `outcome` and answers kError.
+  void refuse(Connection& c, const Frame& frame, const TraceContext& ctx,
+              const char* outcome, ErrCode code, const std::string& message);
+  /// Admission, layer 3: takes an in-flight window slot, or refuses with
+  /// kTooManyInFlight and returns false.
+  bool admit(Connection& c, const Frame& frame, const TraceContext& ctx);
+  /// Submits a discovery or query job: unknown datasets are refused, then
+  /// the job takes a window slot and a scheduler slot (kServerBusy when
+  /// the scheduler's queue is full) and joins the sweep list.
+  void submit_job(Connection& c, const Frame& frame, const TraceContext& ctx,
+                  ProfileJob job, PendingJob pending);
+  /// Takes a window slot and runs `body` on the ops pool: queue-wait span,
+  /// cost ledger, cost trailer on success, completion and wake. A throwing
+  /// body answers kError(on_throw).
+  void run_on_ops_pool(Connection& c, const Frame& frame,
+                       const TraceContext& ctx, ErrCode on_throw,
+                       OpsBody body);
+
   void handle_submit_discovery(Connection& c, const Frame& frame,
                                const TraceContext& ctx);
   void handle_submit_query(Connection& c, const Frame& frame,
@@ -282,7 +312,8 @@ class ProfilingServer {
                           const TraceContext& ctx);
   void handle_apply_update(Connection& c, const Frame& frame,
                            const TraceContext& ctx);
-  void handle_subscribe(Connection& c, const Frame& frame);
+  void handle_subscribe(Connection& c, const Frame& frame,
+                        const TraceContext& ctx);
   void handle_credit(Connection& c, const Frame& frame);
   void handle_unsubscribe(Connection& c, const Frame& frame);
   void sweep_pending();

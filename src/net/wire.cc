@@ -11,6 +11,38 @@ bool IsKnownMsgType(std::uint8_t t) {
          t <= static_cast<std::uint8_t>(MsgType::kCostTrailer);
 }
 
+const char* RequestTypeName(MsgType type) {
+  switch (type) {
+    case MsgType::kSubmitDiscovery: return "submit_discovery";
+    case MsgType::kSubmitQuery: return "submit_query";
+    case MsgType::kRegisterDataset: return "register_dataset";
+    case MsgType::kQueryCover: return "query_cover";
+    case MsgType::kApplyUpdate: return "apply_update";
+    case MsgType::kSubscribe: return "subscribe";
+    case MsgType::kHello:
+    case MsgType::kCredit:
+    case MsgType::kUnsubscribe:
+    case MsgType::kPing:
+    case MsgType::kGoodbye:
+    case MsgType::kTracedRequest:
+    case MsgType::kHelloOk:
+    case MsgType::kError:
+    case MsgType::kRegisterOk:
+    case MsgType::kDiscoveryResult:
+    case MsgType::kCoverResult:
+    case MsgType::kUpdateOk:
+    case MsgType::kSubscribeOk:
+    case MsgType::kCoverUpdate:
+    case MsgType::kStreamEnd:
+    case MsgType::kHeartbeat:
+    case MsgType::kPong:
+    case MsgType::kQueryResult:
+    case MsgType::kCostTrailer:
+      return nullptr;
+  }
+  return nullptr;
+}
+
 const char* ErrCodeName(ErrCode code) {
   switch (code) {
     case ErrCode::kBadRequest: return "bad_request";

@@ -21,7 +21,7 @@ namespace dhyfd::net {
 /// `len` counts everything after itself (type + request id + payload), so a
 /// frame occupies 4 + len bytes on the wire and the smallest legal frame has
 /// len == 9. Anything malformed — len below the header size, len above the
-/// negotiated maximum, an unknown type byte, or a payload whose fields read
+/// configured maximum, an unknown type byte, or a payload whose fields read
 /// past its end — is a protocol error: the peer's connection is dropped, it
 /// is never "best-effort parsed".
 
@@ -39,8 +39,8 @@ enum class MsgType : std::uint8_t {
   kUnsubscribe = 8,      // end a subscription
   kPing = 9,             // liveness probe; also resets the idle timer
   kGoodbye = 10,         // polite close: server flushes, then disconnects
-  kSubmitQuery = 11,     // run a rank-driven discovery query (protocol v2+)
-  kTracedRequest = 12,   // trace-context wrapper around any request (v3+)
+  kSubmitQuery = 11,     // run a rank-driven discovery query
+  kTracedRequest = 12,   // trace-context wrapper around one request
 
   // server -> client
   kHelloOk = 64,         // handshake reply: limits the client must respect
@@ -54,12 +54,17 @@ enum class MsgType : std::uint8_t {
   kStreamEnd = 72,       // subscription closed; reason code
   kHeartbeat = 73,       // periodic keepalive on streaming connections
   kPong = 74,
-  kQueryResult = 75,     // answer to kSubmitQuery (protocol v2+)
-  kCostTrailer = 76,     // per-request cost ledger after a success (v3+)
+  kQueryResult = 75,     // answer to kSubmitQuery
+  kCostTrailer = 76,     // per-request cost ledger after a success
 };
 
 /// True if `t` is a value the protocol defines (in either direction).
 bool IsKnownMsgType(std::uint8_t t);
+
+/// Stable label of a client request type ("submit_discovery", ...), used in
+/// net.rpc.* metric names and /slowlog rows; nullptr for every type that is
+/// not a request (handshake, control frames, replies, the trace envelope).
+const char* RequestTypeName(MsgType type);
 
 /// Error codes carried by kError frames.
 enum class ErrCode : std::uint16_t {

@@ -83,17 +83,21 @@ TEST(NetServerTest, HelloHandshakeAndPing) {
 
 TEST(NetServerTest, UnsupportedVersionGetsErrorThenClose) {
   Stack stack;
-  Socket s = ConnectTcp("127.0.0.1", stack.server->port());
-  s.set_recv_timeout(30);
-  HelloMsg hello;
-  hello.protocol_version = 99;
-  s.write_all(EncodeMsgFrame(MsgType::kHello, 1, hello));
-  Frame f;
-  ASSERT_TRUE(ReadRawFrame(s, &f));
-  ASSERT_EQ(f.type, MsgType::kError);
-  WireReader r(f.payload);
-  EXPECT_EQ(ErrorMsg::decode(r).code, ErrCode::kUnsupportedVersion);
-  EXPECT_FALSE(ReadRawFrame(s, &f));  // server closed after the reply
+  // One wire version: every other hello is refused, older ones included.
+  for (std::uint32_t version : {0u, 1u, 2u, 3u, 5u, 99u}) {
+    SCOPED_TRACE(version);
+    Socket s = ConnectTcp("127.0.0.1", stack.server->port());
+    s.set_recv_timeout(30);
+    HelloMsg hello;
+    hello.protocol_version = version;
+    s.write_all(EncodeMsgFrame(MsgType::kHello, 1, hello));
+    Frame f;
+    ASSERT_TRUE(ReadRawFrame(s, &f));
+    ASSERT_EQ(f.type, MsgType::kError);
+    WireReader r(f.payload);
+    EXPECT_EQ(ErrorMsg::decode(r).code, ErrCode::kUnsupportedVersion);
+    EXPECT_FALSE(ReadRawFrame(s, &f));  // server closed after the reply
+  }
 }
 
 TEST(NetServerTest, FirstFrameMustBeHello) {
@@ -288,50 +292,28 @@ TEST(NetServerTest, InputWidthErrorsAreBadRequests) {
   EXPECT_EQ(client.submit_query(good).state, "done");
 }
 
-TEST(NetServerTest, V1ClientIsRejectedCleanlyOnSubmitQuery) {
-  Stack stack;
-  Socket s = ConnectTcp("127.0.0.1", stack.server->port());
-  s.set_recv_timeout(30);
-  HelloMsg hello;
-  hello.protocol_version = 1;  // an old client
-  hello.client_name = "legacy";
-  s.write_all(EncodeMsgFrame(MsgType::kHello, 1, hello));
-  Frame f;
-  ASSERT_TRUE(ReadRawFrame(s, &f));
-  ASSERT_EQ(f.type, MsgType::kHelloOk);
-  {
-    WireReader r(f.payload);
-    EXPECT_EQ(HelloOkMsg::decode(r).protocol_version, 1u);
-  }
-
-  // v2-only request on a v1 connection: per-request error, no disconnect.
-  SubmitQueryMsg submit;
-  submit.dataset = "whatever";
-  s.write_all(EncodeMsgFrame(MsgType::kSubmitQuery, 2, submit));
-  ASSERT_TRUE(ReadRawFrame(s, &f));
-  ASSERT_EQ(f.type, MsgType::kError);
-  {
-    WireReader r(f.payload);
-    EXPECT_EQ(ErrorMsg::decode(r).code, ErrCode::kUnsupportedVersion);
-  }
-
-  // The v1 message set still works on the same connection.
-  s.write_all(EncodeEmptyFrame(MsgType::kPing, 3));
-  ASSERT_TRUE(ReadRawFrame(s, &f));
-  EXPECT_EQ(f.type, MsgType::kPong);
-}
-
 TEST(NetServerTest, UnknownDatasetErrors) {
   Stack stack;
   BlockingClient client = stack.connect();
+  // Jobs on a missing dataset are refused at admission, before they take
+  // a window slot or a scheduler slot.
   SubmitDiscoveryMsg submit;
   submit.dataset = "missing";
   try {
     client.submit_discovery(submit);
     FAIL() << "expected RpcError";
   } catch (const RpcError& e) {
-    EXPECT_EQ(e.code(), ErrCode::kInternal);  // job ran and failed
+    EXPECT_EQ(e.code(), ErrCode::kUnknownDataset);
   }
+  SubmitQueryMsg query;
+  query.dataset = "missing";
+  try {
+    client.submit_query(query);
+    FAIL() << "expected RpcError";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.code(), ErrCode::kUnknownDataset);
+  }
+  EXPECT_EQ(stack.metrics.counter("jobs.submitted").value(), 0);
   try {
     client.query_cover("missing");
     FAIL() << "expected RpcError";
@@ -404,46 +386,81 @@ TEST(NetServerTest, QuotaExceededAfterBurst) {
   EXPECT_GE(stack.metrics.counter("net.quota_rejects").value(), 1);
 }
 
+template <typename Msg>
+std::vector<std::uint8_t> Payload(const Msg& msg) {
+  WireWriter w;
+  msg.encode(w);
+  return w.take();
+}
+
 TEST(NetServerTest, InflightWindowRejectsPipelinedExcess) {
   ServerOptions options;
   options.max_inflight = 1;
   Stack stack(options);
   BlockingClient client = stack.connect();
-  client.register_dataset("aba", DemoCsv(), /*live=*/false);
+  client.register_dataset("aba", DemoCsv(), /*live=*/true);
 
-  // Pipeline two discovery requests without reading; the second must bounce
-  // off the in-flight window. Both frames go out in ONE write so the server
-  // dispatches them back-to-back from a single read — sent separately, the
-  // first job can finish (and release the window) before the second arrives.
-  SubmitDiscoveryMsg submit;
-  submit.dataset = "aba";
-  WireWriter w1;
-  submit.encode(w1);
-  std::vector<std::uint8_t> pipelined =
-      EncodeFrame(MsgType::kSubmitDiscovery, 101, w1.bytes());
-  std::vector<std::uint8_t> second =
-      EncodeFrame(MsgType::kSubmitDiscovery, 102, w1.bytes());
-  pipelined.insert(pipelined.end(), second.begin(), second.end());
-  client.send_bytes(pipelined.data(), pipelined.size());
+  SubmitDiscoveryMsg discovery;
+  discovery.dataset = "aba";
+  RegisterDatasetMsg reg;
+  reg.name = "tiny";
+  reg.csv_text = "a,b\n1,2\n";
+  QueryCoverMsg cover;
+  cover.dataset = "aba";
+  ApplyUpdateMsg update;
+  update.dataset = "aba";
+  update.deletes = {0};
+  SubmitQueryMsg query;
+  query.dataset = "aba";
+  struct Case {
+    MsgType type;
+    std::vector<std::uint8_t> payload;
+    MsgType answer;
+  };
+  const std::vector<Case> cases = {
+      {MsgType::kSubmitDiscovery, Payload(discovery), MsgType::kDiscoveryResult},
+      {MsgType::kRegisterDataset, Payload(reg), MsgType::kRegisterOk},
+      {MsgType::kQueryCover, Payload(cover), MsgType::kCoverResult},
+      {MsgType::kApplyUpdate, Payload(update), MsgType::kUpdateOk},
+      {MsgType::kSubmitQuery, Payload(query), MsgType::kQueryResult},
+  };
+  std::uint64_t id = 100;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.type));
+    // Pipeline two requests without reading; the second must bounce off
+    // the in-flight window. Both frames go out in ONE write so the server
+    // dispatches them back-to-back from a single read — sent separately,
+    // the first can finish (and release the window) before the second
+    // arrives.
+    std::int64_t rejects_before =
+        stack.metrics.counter("net.inflight_rejects").value();
+    std::uint64_t first = ++id;
+    std::uint64_t second = ++id;
+    std::vector<std::uint8_t> pipelined = EncodeFrame(c.type, first, c.payload);
+    std::vector<std::uint8_t> next = EncodeFrame(c.type, second, c.payload);
+    pipelined.insert(pipelined.end(), next.begin(), next.end());
+    client.send_bytes(pipelined.data(), pipelined.size());
 
-  bool saw_result = false, saw_reject = false;
-  for (int i = 0; i < 2; ++i) {
-    Frame f;
-    ASSERT_TRUE(client.read_frame(&f));
-    if (f.type == MsgType::kDiscoveryResult) {
-      EXPECT_EQ(f.request_id, 101u);
-      saw_result = true;
-    } else {
-      ASSERT_EQ(f.type, MsgType::kError);
-      EXPECT_EQ(f.request_id, 102u);
-      WireReader r(f.payload);
-      EXPECT_EQ(ErrorMsg::decode(r).code, ErrCode::kTooManyInFlight);
-      saw_reject = true;
+    bool saw_result = false, saw_reject = false;
+    for (int i = 0; i < 2; ++i) {
+      Frame f;
+      ASSERT_TRUE(client.read_frame(&f));
+      if (f.type == c.answer) {
+        EXPECT_EQ(f.request_id, first);
+        saw_result = true;
+      } else {
+        ASSERT_EQ(f.type, MsgType::kError);
+        EXPECT_EQ(f.request_id, second);
+        WireReader r(f.payload);
+        EXPECT_EQ(ErrorMsg::decode(r).code, ErrCode::kTooManyInFlight);
+        saw_reject = true;
+      }
     }
+    EXPECT_TRUE(saw_result);
+    EXPECT_TRUE(saw_reject);
+    EXPECT_GT(stack.metrics.counter("net.inflight_rejects").value(),
+              rejects_before);
   }
-  EXPECT_TRUE(saw_result);
-  EXPECT_TRUE(saw_reject);
-  EXPECT_GE(stack.metrics.counter("net.inflight_rejects").value(), 1);
 }
 
 TEST(NetServerTest, SchedulerBackstopAnswersServerBusy) {
@@ -841,47 +858,55 @@ TEST(NetServerTest, ErrorRepliesCarryNoTrailer) {
   EXPECT_TRUE(client.has_last_cost());
 }
 
-TEST(NetServerTest, V2ClientSpeaksPlainProtocolWithoutTrailers) {
-  Stack stack;
-  BlockingClient client("127.0.0.1", stack.server->port(), "legacy-v2",
-                        /*timeout_seconds=*/30, /*protocol_version=*/2);
-  EXPECT_EQ(client.server_limits().protocol_version, 2u);
-
-  // Every v2 request works unwrapped, and no trailer ever arrives —
-  // the response stream stays exactly the pre-v3 sequence.
-  client.register_dataset("aba", DemoCsv(), /*live=*/true);
-  SubmitDiscoveryMsg submit;
-  submit.dataset = "aba";
-  EXPECT_EQ(client.submit_discovery(submit).state, "done");
-  EXPECT_GT(client.query_cover("aba", 2).total, 0u);
-  EXPECT_FALSE(client.has_last_cost());
-  client.ping();
-}
-
 TEST(NetServerTest, MalformedTracedEnvelopeDropsConnection) {
   Stack stack;
   BlockingClient healthy = stack.connect("healthy");
-  BlockingClient hostile = stack.connect("hostile");
+  TraceContext ctx;
+  ctx.trace_id = 1;
+  ctx.span_id = 2;
 
-  // A traced envelope whose inner type is itself kTracedRequest: the
-  // server must refuse to recurse and drop the connection as a protocol
-  // error, leaving other connections alone.
-  WireWriter w;
-  w.u64(1);  // trace_id
-  w.u64(2);  // span_id
-  w.u8(static_cast<std::uint8_t>(MsgType::kTracedRequest));
-  std::vector<std::uint8_t> frame =
-      EncodeFrame(MsgType::kTracedRequest, 7, w.bytes());
-  hostile.send_bytes(reinterpret_cast<const char*>(frame.data()), frame.size());
-  bool dropped = false;
-  try {
-    Frame f;
-    dropped = !hostile.read_frame(&f);
-  } catch (const std::exception&) {
-    dropped = true;
+  // An envelope may carry only a request: one wrapping another envelope
+  // (recursion), a hello (a second handshake) or a server->client type is
+  // a protocol error that drops the connection and leaves the others alone.
+  const std::vector<std::uint8_t> hello = Payload(HelloMsg{});
+  const std::vector<std::pair<MsgType, std::vector<std::uint8_t>>> inners = {
+      {MsgType::kTracedRequest, {}},
+      {MsgType::kHello, hello},
+      {MsgType::kHelloOk, Payload(HelloOkMsg{})},
+  };
+  std::int64_t errors = stack.metrics.counter("net.protocol_errors").value();
+  for (const auto& [inner_type, inner_payload] : inners) {
+    SCOPED_TRACE(static_cast<int>(inner_type));
+    BlockingClient hostile = stack.connect("hostile");
+    std::vector<std::uint8_t> frame =
+        EncodeTracedFrame(inner_type, 7, inner_payload, ctx);
+    hostile.send_bytes(frame.data(), frame.size());
+    bool dropped = false;
+    try {
+      Frame f;
+      dropped = !hostile.read_frame(&f);
+    } catch (const std::exception&) {
+      dropped = true;
+    }
+    EXPECT_TRUE(dropped);
+    EXPECT_GT(stack.metrics.counter("net.protocol_errors").value(), errors);
+    errors = stack.metrics.counter("net.protocol_errors").value();
   }
-  EXPECT_TRUE(dropped);
-  EXPECT_GE(stack.metrics.counter("net.protocol_errors").value(), 1);
+
+  // An envelope as the very first frame is not a hello: dropped unanswered,
+  // even when it wraps one.
+  for (MsgType inner_type : {MsgType::kPing, MsgType::kHello}) {
+    SCOPED_TRACE(static_cast<int>(inner_type));
+    Socket s = ConnectTcp("127.0.0.1", stack.server->port());
+    s.set_recv_timeout(30);
+    std::vector<std::uint8_t> inner_payload;
+    if (inner_type == MsgType::kHello) inner_payload = hello;
+    s.write_all(EncodeTracedFrame(inner_type, 1, inner_payload, ctx));
+    Frame f;
+    EXPECT_FALSE(ReadRawFrame(s, &f));
+    EXPECT_GT(stack.metrics.counter("net.protocol_errors").value(), errors);
+    errors = stack.metrics.counter("net.protocol_errors").value();
+  }
   healthy.ping();
 }
 

@@ -280,6 +280,7 @@ TEST(MessagesTest, TruncatedPayloadThrowsNotCrashes) {
   SubmitDiscoveryMsg msg;
   msg.dataset = "dataset-name";
   msg.top_k = 3;
+  msg.parallelism = 4;  // the last field: its bytes are cut too
   WireWriter w;
   msg.encode(w);
   const std::vector<std::uint8_t>& full = w.bytes();
@@ -325,7 +326,7 @@ TEST(MessagesTest, SubmitParallelismRoundTripsAtV4) {
   msg.dataset = "d";
   msg.parallelism = 6;
   WireWriter w;
-  msg.encode(w);  // default version is v4+
+  msg.encode(w);
   WireReader r(w.bytes());
   EXPECT_EQ(SubmitDiscoveryMsg::decode(r).parallelism, 6u);
 
@@ -336,46 +337,6 @@ TEST(MessagesTest, SubmitParallelismRoundTripsAtV4) {
   qmsg.encode(qw);
   WireReader qr(qw.bytes());
   EXPECT_EQ(SubmitQueryMsg::decode(qr).parallelism, 3u);
-}
-
-TEST(MessagesTest, SubmitSchemaIsVersionExact) {
-  // A v3 encoding omits the parallelism field entirely; a v3 decode of it
-  // succeeds with the default degree. The same bytes at v4 are a truncated
-  // payload, and a v4 encoding carries trailing bytes for a v3 decoder —
-  // both directions must throw rather than guess.
-  SubmitDiscoveryMsg msg;
-  msg.dataset = "d";
-  msg.parallelism = 8;
-  WireWriter v3;
-  msg.encode(v3, kTraceProtocolVersion);
-  WireWriter v4;
-  msg.encode(v4, kParallelProtocolVersion);
-  EXPECT_EQ(v3.bytes().size() + 4, v4.bytes().size());
-
-  WireReader ok(v3.bytes());
-  SubmitDiscoveryMsg old = SubmitDiscoveryMsg::decode(ok,
-                                                      kTraceProtocolVersion);
-  EXPECT_EQ(old.parallelism, 0u);  // field never crossed the wire
-
-  WireReader short_read(v3.bytes());
-  EXPECT_THROW(SubmitDiscoveryMsg::decode(short_read,
-                                          kParallelProtocolVersion),
-               WireError);
-  WireReader long_read(v4.bytes());
-  EXPECT_THROW(SubmitDiscoveryMsg::decode(long_read, kTraceProtocolVersion),
-               WireError);
-
-  SubmitQueryMsg qmsg;
-  qmsg.dataset = "d";
-  qmsg.parallelism = 8;
-  WireWriter qv3;
-  qmsg.encode(qv3, kTraceProtocolVersion);
-  WireReader qok(qv3.bytes());
-  EXPECT_EQ(SubmitQueryMsg::decode(qok, kTraceProtocolVersion).parallelism,
-            0u);
-  WireReader qshort(qv3.bytes());
-  EXPECT_THROW(SubmitQueryMsg::decode(qshort, kParallelProtocolVersion),
-               WireError);
 }
 
 TEST(MessagesTest, QueryResultRoundTrip) {
@@ -470,14 +431,47 @@ TEST(MessagesTest, HostileEpsilonAndKStillDecode) {
 TEST(MessagesTest, QueryFrameTypesAreKnown) {
   EXPECT_TRUE(IsKnownMsgType(static_cast<std::uint8_t>(MsgType::kSubmitQuery)));
   EXPECT_TRUE(IsKnownMsgType(static_cast<std::uint8_t>(MsgType::kQueryResult)));
-  // v3 extends both ranges: the trace envelope and the cost trailer are the
-  // new range ends.
+  // The trace envelope and the cost trailer are the range ends.
   EXPECT_TRUE(IsKnownMsgType(static_cast<std::uint8_t>(MsgType::kTracedRequest)));
   EXPECT_TRUE(IsKnownMsgType(static_cast<std::uint8_t>(MsgType::kCostTrailer)));
   // The hole between client and server ranges is still unknown.
   EXPECT_FALSE(IsKnownMsgType(13));
   EXPECT_FALSE(IsKnownMsgType(63));
   EXPECT_FALSE(IsKnownMsgType(77));
+}
+
+TEST(MessagesTest, RequestTypeNameLabelsExactlyTheRequests) {
+  EXPECT_STREQ(RequestTypeName(MsgType::kSubmitDiscovery), "submit_discovery");
+  EXPECT_STREQ(RequestTypeName(MsgType::kSubmitQuery), "submit_query");
+  EXPECT_STREQ(RequestTypeName(MsgType::kRegisterDataset), "register_dataset");
+  EXPECT_STREQ(RequestTypeName(MsgType::kQueryCover), "query_cover");
+  EXPECT_STREQ(RequestTypeName(MsgType::kApplyUpdate), "apply_update");
+  EXPECT_STREQ(RequestTypeName(MsgType::kSubscribe), "subscribe");
+  int labelled = 0;
+  for (int t = 0; t < 256; ++t) {
+    if (!IsKnownMsgType(static_cast<std::uint8_t>(t))) continue;
+    if (RequestTypeName(static_cast<MsgType>(t)) != nullptr) ++labelled;
+  }
+  EXPECT_EQ(labelled, 6);  // handshake, control, envelope, replies: nullptr
+}
+
+TEST(MessagesTest, TracedHeaderAcceptsOnlyRequests) {
+  TraceContext ctx;
+  ctx.trace_id = 5;
+  for (int t = 0; t < 256; ++t) {
+    if (!IsKnownMsgType(static_cast<std::uint8_t>(t))) continue;
+    MsgType type = static_cast<MsgType>(t);
+    std::vector<std::uint8_t> frame = EncodeTracedFrame(type, 1, {}, ctx);
+    WireReader r(frame.data() + kLengthPrefixBytes + kFrameHeaderBytes,
+                 frame.size() - kLengthPrefixBytes - kFrameHeaderBytes);
+    MsgType inner;
+    if (RequestTypeName(type) != nullptr) {
+      EXPECT_EQ(DecodeTracedHeader(r, &inner).trace_id, 5u);
+      EXPECT_EQ(inner, type);
+    } else {
+      EXPECT_THROW(DecodeTracedHeader(r, &inner), WireError) << t;
+    }
+  }
 }
 
 TEST(MessagesTest, ErrCodeAndReasonNamesCoverAllValues) {

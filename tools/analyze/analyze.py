@@ -31,8 +31,8 @@ that only exist across files:
       ("exhaustive_enums": wire MessageType/ErrCode/StreamEndReason, job
       states, ...), every switch over the enum must name every enumerator
       explicitly — a `default:` label does not excuse a missing case, so
-      adding a v5 frame type without confronting every version-parameterized
-      codec fails this gate instead of becoming a runtime protocol error.
+      adding a frame type without confronting every codec and dispatch
+      switch fails this gate instead of becoming a runtime protocol error.
 
 Suppress one occurrence with `// analyze-allow: <rule>` on the offending
 line (rules: layering, include-cycle, obs-schema, exhaustive).
