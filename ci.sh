@@ -10,11 +10,13 @@
 #   4. bench             — build-only compile of every bench/ harness
 #   5. tsan              — concurrency tests under ThreadSanitizer, including
 #                          the net server round-trip + backpressure suite
-#   6. asan              — partition-arena tests, the wire-framing
-#                          negative/fuzz-ish suite (incl. the query payload
-#                          negatives), the query lattice, the single rank
-#                          pass, the input-width negatives, and the net
-#                          server round-trips + trace propagation under ASan
+#   6. asan              — partition-arena tests, the word-indexed closure
+#                          bitset matrix (closure + canonical-cover tests),
+#                          the wire-framing negative/fuzz-ish suite (incl.
+#                          the query payload negatives), the query lattice,
+#                          the prefix-shared rank pass, the input-width
+#                          negatives, and the net server round-trips + trace
+#                          propagation under ASan
 #   7. ubsan             — bit-twiddling kernels under UBSan (non-recoverable)
 #   8. thread-safety     — Clang Thread Safety Analysis as errors over src/,
 #                          plus a seeded mis-annotation that must FAIL to
@@ -123,11 +125,17 @@ echo "=== asan: partition arena indexing under AddressSanitizer ==="
 cmake -B build-asan -S . -DDHYFD_SANITIZE=address -DDHYFD_WERROR=ON
 cmake --build build-asan -j "$JOBS" --target \
   partition_test partition_cache_test partition_intersect_test \
+  closure_test cover_test \
   net_wire_test query_test redundancy_test robustness_test live_profile_test \
   net_server_test trace_propagation_test
 ./build-asan/tests/partition_test
 ./build-asan/tests/partition_cache_test
 ./build-asan/tests/partition_intersect_test
+# The closure engine indexes one flat bitset matrix by attribute row and
+# 64-FD word, with a masked tail word; the property sweep straddles every
+# word boundary and the canonical-cover tests drive ~97k-FD matrices.
+./build-asan/tests/closure_test
+./build-asan/tests/cover_test
 # net_wire_test feeds the frame decoder truncated frames, hostile length
 # prefixes, and random byte soup — exactly the inputs where a missing bounds
 # check would read past a buffer, which is ASan's home turf. The query
@@ -138,7 +146,8 @@ cmake --build build-asan -j "$JOBS" --target \
 # which walk the shared CSR arena with raw cursors.
 ./build-asan/tests/query_test
 # The single rank pass marks dataset cells at raw row * cols + attr offsets
-# (redundancy_test); the input-width negatives (257 columns, short and long
+# and refines into a stack of prefix partitions (redundancy_test); the
+# input-width negatives (257 columns, short and long
 # insert rows) used to index past an AttributeSet or a row (robustness_test,
 # live_profile_test).
 ./build-asan/tests/redundancy_test

@@ -11,15 +11,6 @@
 
 namespace dhyfd {
 
-namespace {
-
-bool ThreadCancelled() {
-  const CancelToken* token = CancelScope::Current();
-  return token != nullptr && token->cancelled();
-}
-
-}  // namespace
-
 const char* ProfileStageName(ProfileStage stage) {
   switch (stage) {
     case ProfileStage::kEncode: return "encode";
@@ -70,7 +61,7 @@ ProfileReport Profiler::profile(const Relation& relation) const {
 
   // Cancellation is polled between stages as well as inside discovery, so a
   // cancelled job stops before paying for covers and ranking.
-  if (ThreadCancelled()) {
+  if (CancelScope::CurrentCancelled()) {
     report.cancelled = true;
     return report;
   }
@@ -79,22 +70,29 @@ ProfileReport Profiler::profile(const Relation& relation) const {
   {
     timer.reset();
     TraceSpan span(kObsProfileCanonical);
-    report.canonical = CanonicalCover(report.discovery.fds, relation.num_cols());
+    int64_t implications = 0;
+    report.canonical =
+        CanonicalCover(report.discovery.fds, relation.num_cols(), &implications);
+    ObsAdd(kObsProfileCanonicalImplications, implications);
     report.timings.canonical_seconds = timer.seconds();
     if (options_.stage_hook) {
       options_.stage_hook(ProfileStage::kCanonical,
                           report.timings.canonical_seconds);
     }
-    if (ThreadCancelled()) {
-      report.cancelled = true;
-      return report;
-    }
+  }
+  // A cancelled stage returns nothing, so the later stages are skipped and
+  // the report never carries a partial cover or ranking.
+  if (CancelScope::CurrentCancelled()) {
+    report.canonical = FdSet();
+    report.cancelled = true;
+    return report;
   }
 
   {
     timer.reset();
     TraceSpan span(kObsProfileRank);
     CoverRedundancy redundancy = ComputeCoverRedundancy(relation, report.canonical);
+    ObsAdd(kObsProfileRankRefinements, redundancy.refinements);
     report.ranking = SortByRedundancy(std::move(redundancy.per_fd), options_.ranking_mode);
     report.dataset_redundancy = redundancy.dataset;
     report.timings.ranking_seconds = timer.seconds();
@@ -102,7 +100,12 @@ ProfileReport Profiler::profile(const Relation& relation) const {
       options_.stage_hook(ProfileStage::kRank, report.timings.ranking_seconds);
     }
   }
-  report.cancelled = ThreadCancelled();
+  if (CancelScope::CurrentCancelled()) {
+    report.canonical = FdSet();
+    report.ranking.clear();
+    report.dataset_redundancy = DatasetRedundancy();
+    report.cancelled = true;
+  }
   return report;
 }
 

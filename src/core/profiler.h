@@ -79,7 +79,8 @@ struct ProfileReport {
   DatasetRedundancy dataset_redundancy;
   StageTimings timings;
   /// True if a CancelScope token fired mid-pipeline; later stages were
-  /// skipped and discovery.stats.timed_out may be set.
+  /// skipped and discovery.stats.timed_out may be set. A cancelled report's
+  /// canonical, ranking and dataset_redundancy are always empty.
   bool cancelled = false;
 
   /// Multi-line human-readable summary.

@@ -1,50 +1,70 @@
 #ifndef DHYFD_FD_CLOSURE_H_
 #define DHYFD_FD_CLOSURE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "fd/fd_set.h"
 
 namespace dhyfd {
 
-/// Linear-time attribute closure (Beeri-Bernstein LinClosure) over a fixed
-/// FD set. Builds the attribute -> FD index once; each closure() call runs
-/// in O(||Sigma||). The canonical-cover computation calls closure once per
-/// FD, so this is the inner loop of Table III's "Time" column.
+/// Attribute closure over a fixed FD set, word-parallel over the FDs.
+///
+/// For every attribute a the engine keeps one bitset over the FDs: "the LHS
+/// does not contain a". An FD can fire once its LHS lies inside the running
+/// closure C, so the fireable FDs are the enabled mask ANDed with the
+/// bitsets of every attribute outside C, 64 FDs per word. One fixpoint step
+/// computes that mask, ORs in the RHS of each newly fireable FD, and repeats
+/// until C stops growing. The canonical-cover computation calls implies()
+/// once per FD, so this is the inner loop of Table III's "Time" column.
+///
+/// The AND runs attribute by attribute, most frequent LHS attribute first,
+/// and drops words that reach zero from the rest of the step. FDs are
+/// stored in bit slots sorted by their LHS in that attribute order, so FDs
+/// sharing frequent attributes share words and whole words drop out early.
+///
+/// Every FD starts enabled; disable(i) hides FD i (its index in the FdSet)
+/// from later calls. Scratch words are sized at construction, so closure()
+/// and implies() allocate nothing. One engine must not be used by two
+/// threads at once.
 class ClosureEngine {
  public:
+  /// `num_attrs` is the schema width; the engine sizes its rows from the
+  /// attributes that occur in some LHS, so it needs no other bound.
   ClosureEngine(const FdSet& fds, int num_attrs);
 
-  /// X+ under the indexed FDs. FDs whose index is `skip_fd` or for which
-  /// alive (if non-null) is 0 are ignored. If `stop_when` is non-null the
-  /// computation returns as soon as the running closure contains it; the
-  /// returned set is then a (possibly partial) subset of X+ guaranteed to
-  /// contain stop_when iff X+ does.
-  AttributeSet closure(const AttributeSet& x, int skip_fd = -1,
-                       const std::vector<uint8_t>* alive = nullptr,
-                       const AttributeSet* stop_when = nullptr) const;
+  /// X+ under the enabled FDs.
+  AttributeSet closure(const AttributeSet& x) const;
 
-  /// True if the (filtered) FD set implies lhs -> rhs. Early-exits once rhs
-  /// is reached, so it is much cheaper than a full closure on large covers.
-  bool implies(const AttributeSet& lhs, const AttributeSet& rhs, int skip_fd = -1,
-               const std::vector<uint8_t>* alive = nullptr) const;
+  /// True if the enabled FDs imply lhs -> rhs. Stops as soon as the running
+  /// closure contains rhs, so it is much cheaper than a full closure on
+  /// large covers.
+  bool implies(const AttributeSet& lhs, const AttributeSet& rhs) const;
 
-  int num_fds() const { return static_cast<int>(fds_.size()); }
-  const Fd& fd(int i) const { return fds_[i]; }
+  void enable(int i) { enabled_[slot_[i] >> 6] |= bit(slot_[i]); }
+  void disable(int i) { enabled_[slot_[i] >> 6] &= ~bit(slot_[i]); }
+  bool enabled(int i) const { return (enabled_[slot_[i] >> 6] & bit(slot_[i])) != 0; }
+
+  int num_fds() const { return static_cast<int>(rhs_.size()); }
 
  private:
-  std::vector<Fd> fds_;
-  int num_attrs_;
-  // For attribute a, the indices of FDs whose LHS contains a.
-  std::vector<std::vector<int32_t>> lhs_index_;
-  // FDs with empty LHS fire unconditionally.
-  std::vector<int32_t> empty_lhs_fds_;
-  std::vector<int32_t> lhs_counts_;  // |LHS| per FD
-  // Epoch-stamped counters: per closure() call only touched entries are
-  // (lazily) re-initialized, so a call costs O(work done), not O(|Sigma|).
-  mutable std::vector<int32_t> counters_;  // unmet LHS attrs per FD
-  mutable std::vector<uint32_t> stamps_;
-  mutable uint32_t epoch_ = 0;
+  static uint64_t bit(uint32_t slot) { return uint64_t{1} << (slot & 63); }
+
+  /// The fixpoint; returns early once `target` (if non-null) is reached.
+  AttributeSet run(const AttributeSet& x, const AttributeSet* target) const;
+
+  size_t words_;                    // 64-slot words per bitset
+  std::vector<uint32_t> slot_;      // FdSet index -> bit slot
+  std::vector<AttributeSet> rhs_;   // RHS per slot
+  std::vector<AttrId> attr_order_;  // LHS attributes, most frequent first
+  // Row r (words_ words) has slot s set iff that FD's LHS does not contain
+  // attr_order_[r].
+  std::vector<uint64_t> no_lhs_;
+  std::vector<uint64_t> enabled_;
+  // Per step: the words still nonzero and their fireable bits, compacted.
+  mutable std::vector<uint32_t> live_words_;
+  mutable std::vector<uint64_t> fireable_;
+  mutable std::vector<uint64_t> fired_;  // per word, slots already applied
 };
 
 /// One-shot convenience wrappers.

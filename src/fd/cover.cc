@@ -4,24 +4,32 @@
 #include <unordered_set>
 #include <utility>
 
+#include "util/cancellation.h"
+
 namespace dhyfd {
 
-FdSet CanonicalCover(const FdSet& left_reduced, int num_attrs) {
+FdSet CanonicalCover(const FdSet& left_reduced, int num_attrs, int64_t* implications) {
+  if (implications != nullptr) *implications = 0;
+  // An already-cancelled run skips the set-up too (the split, the engine).
+  if (CancelScope::CurrentCancelled()) return FdSet();
   FdSet singles = left_reduced.with_singleton_rhs();
+  const int n = static_cast<int>(singles.fds.size());
   ClosureEngine engine(singles, num_attrs);
-  std::vector<uint8_t> alive(singles.fds.size(), 1);
-  // Drop each FD that the remaining live FDs already imply. Scanning in
+  // Drop each FD that the remaining enabled FDs already imply. Scanning in
   // order is the classical non-redundant-cover reduction; any order yields
   // a valid (possibly different) canonical cover.
-  for (int i = 0; i < static_cast<int>(singles.fds.size()); ++i) {
-    alive[i] = 0;
-    if (!engine.implies(singles.fds[i].lhs, singles.fds[i].rhs, -1, &alive)) {
-      alive[i] = 1;
-    }
+  int checked = 0;
+  for (; checked < n; ++checked) {
+    if (checked % kCancelPollInterval == 0 && CancelScope::CurrentCancelled()) break;
+    const Fd& fd = singles.fds[checked];
+    engine.disable(checked);
+    if (!engine.implies(fd.lhs, fd.rhs)) engine.enable(checked);
   }
+  if (implications != nullptr) *implications = checked;
+  if (checked < n) return FdSet();
   FdSet non_redundant;
-  for (size_t i = 0; i < singles.fds.size(); ++i) {
-    if (alive[i]) non_redundant.add(singles.fds[i]);
+  for (int i = 0; i < n; ++i) {
+    if (engine.enabled(i)) non_redundant.add(singles.fds[i]);
   }
   return non_redundant.with_merged_lhs();
 }
@@ -64,7 +72,9 @@ bool IsLeftReduced(const FdSet& fds, int num_attrs) {
 bool IsNonRedundant(const FdSet& fds, int num_attrs) {
   ClosureEngine engine(fds, num_attrs);
   for (int i = 0; i < static_cast<int>(fds.fds.size()); ++i) {
-    if (engine.implies(fds.fds[i].lhs, fds.fds[i].rhs, i)) return false;
+    engine.disable(i);
+    if (engine.implies(fds.fds[i].lhs, fds.fds[i].rhs)) return false;
+    engine.enable(i);
   }
   return true;
 }

@@ -15,7 +15,13 @@ namespace dhyfd {
 /// Computes a canonical cover from a left-reduced cover. The input may have
 /// set-valued RHSs; it is split to singleton RHSs first. The result has one
 /// FD per remaining LHS with a set RHS.
-FdSet CanonicalCover(const FdSet& left_reduced, int num_attrs);
+///
+/// Polls the thread's CancelScope every kCancelPollInterval FDs; a
+/// cancelled run returns an empty cover, never a partial one. If
+/// `implications` is non-null it receives the number of implication checks
+/// made.
+FdSet CanonicalCover(const FdSet& left_reduced, int num_attrs,
+                     int64_t* implications = nullptr);
 
 /// Left-reduces an arbitrary FD set: minimizes every LHS w.r.t. the whole
 /// set, deduplicates, and returns singleton-RHS FDs. Used by tests and by

@@ -1,6 +1,12 @@
 #include "ranking/redundancy.h"
 
+#include <algorithm>
+#include <numeric>
+#include <span>
+
+#include "partition/partition_ops.h"
 #include "partition/stripped_partition.h"
+#include "util/cancellation.h"
 
 namespace dhyfd {
 
@@ -36,16 +42,59 @@ FdRedundancy FdRedundancyFromPartition(const Relation& r, const Fd& fd,
 }
 
 CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover) {
+  // An already-cancelled run skips the set-up too (the LHS sort).
+  if (CancelScope::CurrentCancelled()) return CoverRedundancy();
+  const size_t n = cover.fds.size();
+  // Each LHS as an ascending attribute list, flattened: lhs i is
+  // attrs[begin[i], begin[i + 1]).
+  std::vector<AttrId> attrs;
+  std::vector<size_t> begin{0};
+  begin.reserve(n + 1);
+  for (const Fd& fd : cover.fds) {
+    fd.lhs.for_each([&](AttrId a) { attrs.push_back(a); });
+    begin.push_back(attrs.size());
+  }
+  auto lhs = [&](size_t i) {
+    return std::span<const AttrId>(attrs.data() + begin[i], begin[i + 1] - begin[i]);
+  };
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    std::span<const AttrId> x = lhs(a), y = lhs(b);
+    return std::lexicographical_compare(x.begin(), x.end(), y.begin(), y.end());
+  });
+
   CoverRedundancy out;
-  out.per_fd.reserve(cover.fds.size());
+  out.per_fd.resize(n);
   DatasetRedundancy& dataset = out.dataset;
   dataset.num_values = r.num_values();
   const int m = r.num_cols();
   std::vector<uint8_t> marked(static_cast<size_t>(r.num_rows()) * m, 0);
-  for (const Fd& fd : cover.fds) {
-    StrippedPartition pi = BuildPartition(r, fd.lhs);
-    out.per_fd.push_back(FdRedundancyFromPartition(r, fd, pi));
-    // A cell is counted when first marked, however many FDs make it redundant.
+  PartitionRefiner refiner(r);
+  const StrippedPartition whole = StrippedPartition::whole(r.num_rows());
+  // prefix[d] is pi over the first d + 1 attributes of `path`, the LHS the
+  // stack was last built for.
+  std::vector<StrippedPartition> prefix;
+  std::span<const AttrId> path;
+  for (size_t k = 0; k < n; ++k) {
+    if (k % kCancelPollInterval == 0 && CancelScope::CurrentCancelled()) {
+      return CoverRedundancy();
+    }
+    const size_t i = order[k];
+    const Fd& fd = cover.fds[i];
+    std::span<const AttrId> x = lhs(i);
+    const size_t shared = std::mismatch(x.begin(), x.end(), path.begin(), path.end()).first -
+                          x.begin();
+    if (prefix.size() < x.size()) prefix.resize(x.size());
+    for (size_t d = shared; d < x.size(); ++d) {
+      refiner.refine_into(d == 0 ? whole : prefix[d - 1], x[d], prefix[d]);
+      ++out.refinements;
+    }
+    path = x;
+    const StrippedPartition& pi = x.empty() ? whole : prefix[x.size() - 1];
+    out.per_fd[i] = FdRedundancyFromPartition(r, fd, pi);
+    // A cell is counted when first marked, however many FDs make it
+    // redundant, so the counts do not depend on the visit order.
     for (RowId row : pi.row_arena()) {
       fd.rhs.for_each([&](AttrId a) {
         uint8_t& cell = marked[static_cast<size_t>(row) * m + a];

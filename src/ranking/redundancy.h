@@ -55,10 +55,17 @@ struct DatasetRedundancy {
 struct CoverRedundancy {
   std::vector<FdRedundancy> per_fd;
   DatasetRedundancy dataset;
+  /// Attribute refinements spent building the LHS partitions.
+  int64_t refinements = 0;
 };
 
 /// Both halves of CoverRedundancy for a (valid) cover in one loop: each
 /// pi_LHS is built once, scored, and its arena marks the redundant cells.
+/// LHSs are visited in lexicographic attribute-list order, and each pi_LHS
+/// is refined from the partition of the longest prefix it shares with the
+/// previous LHS, so sibling LHSs share their common prefix's refinements.
+/// Polls the thread's CancelScope every kCancelPollInterval FDs; a
+/// cancelled run returns an empty result, never a partial one.
 CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover);
 
 /// O(rows^2) reference counter for one FD; cross-checks the partition-based

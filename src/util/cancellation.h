@@ -39,12 +39,23 @@ class CancelScope {
   /// The token bound to this thread, or nullptr outside any scope.
   static const CancelToken* Current() { return current_; }
 
+  /// True if the token bound to this thread has fired. Long loops outside
+  /// discovery (canonical cover, ranking) poll this every
+  /// kCancelPollInterval iterations.
+  static bool CurrentCancelled() {
+    return current_ != nullptr && current_->cancelled();
+  }
+
  private:
   static thread_local const CancelToken* current_;
   const CancelToken* prev_;
 };
 
 inline thread_local const CancelToken* CancelScope::current_ = nullptr;
+
+/// Iterations between CancelScope::CurrentCancelled() polls in loops whose
+/// bodies are too cheap to poll every time.
+inline constexpr int kCancelPollInterval = 256;
 
 }  // namespace dhyfd
 

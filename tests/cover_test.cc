@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+#include <vector>
+
+#include "algo/discovery.h"
+#include "datagen/benchmark_data.h"
+#include "relation/encoder.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 #include "util/random.h"
 
 namespace dhyfd {
@@ -143,6 +151,86 @@ TEST_P(CanonicalSweep, InvariantsHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CanonicalSweep, ::testing::Range(0, 20));
+
+/// CanonicalCover's ordered scan run on the naive closure: FD i is dropped
+/// when the FDs still kept, other than i itself, imply it.
+FdSet ReferenceCanonicalCover(const FdSet& left_reduced) {
+  FdSet singles = left_reduced.with_singleton_rhs();
+  std::vector<bool> on(singles.fds.size(), true);
+  for (size_t i = 0; i < singles.fds.size(); ++i) {
+    on[i] = false;
+    const Fd& fd = singles.fds[i];
+    if (!fd.rhs.is_subset_of(testutil::NaiveClosure(singles, on, fd.lhs))) on[i] = true;
+  }
+  FdSet kept;
+  for (size_t i = 0; i < singles.fds.size(); ++i) {
+    if (on[i]) kept.add(singles.fds[i]);
+  }
+  return kept.with_merged_lhs();
+}
+
+TEST(CoverTest, MatchesNaiveReferenceOnRandomRelations) {
+  // The relations of RedundancyTest.MatchesBruteForce.
+  for (int seed = 1; seed <= 8; ++seed) {
+    Relation r = testutil::RandomRelation(seed * 7, 50, 4, 3, seed % 3 == 0 ? 0.15 : 0.0);
+    FdSet left_reduced = BruteForceDiscover(r);
+    EXPECT_EQ(CanonicalCover(left_reduced, r.num_cols()).fds,
+              ReferenceCanonicalCover(left_reduced).fds)
+        << "seed=" << seed;
+  }
+}
+
+TEST(CoverTest, MatchesNaiveReferenceOnAnalogs) {
+  for (auto [name, rows] : {std::pair{"bridges", 200}, {"abalone", 200}, {"hepatitis", 155}}) {
+    Relation r = EncodeRelation(GenerateBenchmark(name, rows)).relation;
+    FdSet left_reduced = MakeDiscovery("dhyfd")->discover(r).fds;
+    ASSERT_GT(left_reduced.size(), 0) << name;
+    FdSet expected = ReferenceCanonicalCover(left_reduced);
+    int64_t implications = -1;
+    EXPECT_EQ(CanonicalCover(left_reduced, r.num_cols(), &implications).fds, expected.fds)
+        << name;
+    EXPECT_EQ(implications, left_reduced.with_singleton_rhs().size()) << name;
+  }
+}
+
+TEST(CoverTest, PreCancelledTokenStopsCanonicalCover) {
+  const testutil::HorseAnalog& horse = testutil::Horse();
+  const FdSet& left_reduced = horse.cover;
+  const int num_attrs = horse.relation.num_cols();
+  ASSERT_GT(left_reduced.size(), 90000);
+  CancelToken token;
+  token.cancel();
+  CancelScope scope(&token);
+  int64_t implications = -1;
+  auto start = std::chrono::steady_clock::now();
+  FdSet canonical = CanonicalCover(left_reduced, num_attrs, &implications);
+  double ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                        start).count();
+  EXPECT_TRUE(canonical.empty());
+  EXPECT_EQ(implications, 0);
+  EXPECT_LT(ms, 100.0);
+}
+
+TEST(CoverTest, CancelMidScanReturnsEmptyCover) {
+  const testutil::HorseAnalog& horse = testutil::Horse();
+  const FdSet& left_reduced = horse.cover;
+  const int num_attrs = horse.relation.num_cols();
+  CancelToken token;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token.cancel();
+  });
+  FdSet canonical;
+  int64_t implications = -1;
+  {
+    CancelScope scope(&token);
+    canonical = CanonicalCover(left_reduced, num_attrs, &implications);
+  }
+  canceller.join();
+  // A finished scan would have made one check per FD and kept a cover.
+  EXPECT_TRUE(canonical.empty());
+  EXPECT_LT(implications, left_reduced.size());
+}
 
 }  // namespace
 }  // namespace dhyfd

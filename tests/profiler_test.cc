@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "datagen/benchmark_data.h"
+#include "obs/obs.h"
+#include "obs/obs_schema.gen.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 
 namespace dhyfd {
 namespace {
@@ -115,6 +122,62 @@ TEST(ProfilerTest, WorksOnGeneratedBenchmark) {
   ProfileReport rep = Profiler().profile(t);
   EXPECT_GT(rep.discovery.fds.size(), 0);
   EXPECT_LE(rep.canonical.size(), rep.discovery.fds.size());
+}
+
+/// Keeps every delta per counter name, so a test can see how often a
+/// counter was emitted as well as its total.
+class RecordingSink : public ObsSink {
+ public:
+  void add(const char* name, std::int64_t delta) override {
+    deltas[name].push_back(delta);
+  }
+  std::map<std::string, std::vector<std::int64_t>> deltas;
+};
+
+TEST(ProfilerTest, StageCountersShowPrefixReuse) {
+  RecordingSink sink;
+  ProfileReport rep;
+  {
+    ObsScope scope(&sink);
+    rep = Profiler().profile(GenerateBenchmark("diabetic", 1000));
+  }
+  // Each stage emits its counter once, not per loop iteration.
+  ASSERT_EQ(sink.deltas[kObsProfileCanonicalImplications].size(), 1u);
+  ASSERT_EQ(sink.deltas[kObsProfileRankRefinements].size(), 1u);
+  // One implication check per singleton-RHS FD of the discovered cover.
+  EXPECT_EQ(sink.deltas[kObsProfileCanonicalImplications][0],
+            rep.discovery.fds.with_singleton_rhs().size());
+  // Building every LHS partition from scratch costs one refinement per LHS
+  // attribute; refining from shared prefixes must cost fewer.
+  int64_t lhs_attributes = 0;
+  for (const Fd& fd : rep.canonical.fds) lhs_attributes += fd.lhs.count();
+  int64_t refinements = sink.deltas[kObsProfileRankRefinements][0];
+  EXPECT_GT(refinements, 0);
+  EXPECT_LT(refinements, lhs_attributes);
+}
+
+TEST(ProfilerTest, CancelledStageLeavesNoPartialResult) {
+  // The hook fires right after the named stage; a token cancelled there is
+  // seen by the profiler's next poll, so the report must come back with no
+  // cover, ranking or dataset counts at all.
+  for (ProfileStage stage : {ProfileStage::kCanonical, ProfileStage::kRank}) {
+    CancelToken token;
+    ProfileOptions opt;
+    opt.stage_hook = [&](ProfileStage done, double) {
+      if (done == stage) token.cancel();
+    };
+    ProfileReport rep;
+    {
+      CancelScope scope(&token);
+      rep = Profiler(opt).profile(GenerateBenchmark("bridges", 108));
+    }
+    EXPECT_TRUE(rep.cancelled) << ProfileStageName(stage);
+    EXPECT_GT(rep.discovery.fds.size(), 0) << ProfileStageName(stage);
+    EXPECT_TRUE(rep.canonical.empty()) << ProfileStageName(stage);
+    EXPECT_TRUE(rep.ranking.empty()) << ProfileStageName(stage);
+    EXPECT_EQ(rep.dataset_redundancy.num_values, 0) << ProfileStageName(stage);
+    EXPECT_EQ(rep.dataset_redundancy.red_plus0, 0) << ProfileStageName(stage);
+  }
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "algo/discovery.h"
 #include "fd/cover.h"
+#include "partition/stripped_partition.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 
 namespace dhyfd {
 namespace {
@@ -144,6 +149,77 @@ TEST(RedundancyTest, EmptyCoverEmptyCounts) {
   EXPECT_TRUE(red.per_fd.empty());
   EXPECT_EQ(red.dataset.red, 0);
   EXPECT_EQ(red.dataset.red_plus0, 0);
+}
+
+TEST(RedundancyTest, PrefixSharingMatchesFromScratchPartitions) {
+  // Cover order is not lexicographic; it holds an empty LHS, the nested
+  // prefixes {0} < {0,1} < {0,1,2}, the siblings {0,1} and {0,2}, and a
+  // repeated LHS. Validity does not matter to the counters.
+  FdSet cover;
+  cover.add(Fd(AttributeSet{0, 2}, 4));
+  cover.add(Fd(AttributeSet{0, 1, 2}, AttributeSet{3, 4}));
+  cover.add(Fd(AttributeSet{1}, 3));
+  cover.add(Fd(AttributeSet{}, 2));
+  cover.add(Fd(AttributeSet{0, 1}, 4));
+  cover.add(Fd(AttributeSet{0}, AttributeSet{1, 3}));
+  cover.add(Fd(AttributeSet{0, 1}, 3));
+  for (int seed = 1; seed <= 6; ++seed) {
+    Relation r = RandomRelation(seed * 11, 60, 5, 3, seed % 2 == 0 ? 0.1 : 0.0);
+    CoverRedundancy fast = ComputeCoverRedundancy(r, cover);
+    ASSERT_EQ(fast.per_fd.size(), cover.fds.size());
+    for (size_t i = 0; i < cover.fds.size(); ++i) {
+      const Fd& fd = cover.fds[i];
+      FdRedundancy slow = FdRedundancyFromPartition(r, fd, BuildPartition(r, fd.lhs));
+      EXPECT_EQ(fast.per_fd[i].fd, fd) << "seed=" << seed << " #" << i;
+      EXPECT_EQ(fast.per_fd[i].with_nulls, slow.with_nulls) << "seed=" << seed << " #" << i;
+      EXPECT_EQ(fast.per_fd[i].excluding_null_rhs, slow.excluding_null_rhs)
+          << "seed=" << seed << " #" << i;
+      EXPECT_EQ(fast.per_fd[i].excluding_null_lhs_rhs, slow.excluding_null_lhs_rhs)
+          << "seed=" << seed << " #" << i;
+    }
+    DatasetRedundancy slow = BruteForceDatasetRedundancy(r, cover);
+    EXPECT_EQ(fast.dataset.num_values, slow.num_values) << "seed=" << seed;
+    EXPECT_EQ(fast.dataset.red, slow.red) << "seed=" << seed;
+    EXPECT_EQ(fast.dataset.red_plus0, slow.red_plus0) << "seed=" << seed;
+    // Visited as {}, {0}, {0,1}, {0,1}, {0,1,2}, {0,2}, {1}: one refinement
+    // per new trie node, against 11 attributes over all LHSs.
+    EXPECT_EQ(fast.refinements, 5) << "seed=" << seed;
+  }
+}
+
+TEST(RedundancyTest, PreCancelledTokenStopsRankLoop) {
+  const testutil::HorseAnalog& horse = testutil::Horse();
+  ASSERT_GT(horse.cover.size(), 90000);
+  CancelToken token;
+  token.cancel();
+  CancelScope scope(&token);
+  auto start = std::chrono::steady_clock::now();
+  CoverRedundancy red = ComputeCoverRedundancy(horse.relation, horse.cover);
+  double ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                        start).count();
+  EXPECT_TRUE(red.per_fd.empty());
+  EXPECT_EQ(red.refinements, 0);
+  EXPECT_EQ(red.dataset.red_plus0, 0);
+  EXPECT_LT(ms, 100.0);
+}
+
+TEST(RedundancyTest, CancelMidLoopReturnsEmptyResult) {
+  const testutil::HorseAnalog& horse = testutil::Horse();
+  CancelToken token;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token.cancel();
+  });
+  CoverRedundancy red;
+  {
+    CancelScope scope(&token);
+    red = ComputeCoverRedundancy(horse.relation, horse.cover);
+  }
+  canceller.join();
+  // A finished pass would have scored every FD.
+  EXPECT_TRUE(red.per_fd.empty());
+  EXPECT_EQ(red.refinements, 0);
+  EXPECT_EQ(red.dataset.num_values, 0);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "algo/discovery.h"
+#include "datagen/benchmark_data.h"
 #include "fd/closure.h"
 #include "fd/fd_set.h"
 #include "partition/stripped_partition.h"
@@ -84,6 +86,38 @@ inline bool HoldsBruteForce(const Relation& r, const Fd& fd) {
     }
   }
   return true;
+}
+
+/// Naive fixpoint closure: applies every FD with on[i] set whose LHS lies
+/// inside the running closure until nothing changes. Shares no code with
+/// ClosureEngine, which the closure and cover tests compare against it.
+inline AttributeSet NaiveClosure(const FdSet& fds, const std::vector<bool>& on,
+                                 AttributeSet x) {
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (size_t i = 0; i < fds.fds.size(); ++i) {
+      const Fd& fd = fds.fds[i];
+      if (on[i] && fd.lhs.is_subset_of(x) && !fd.rhs.is_subset_of(x)) {
+        x |= fd.rhs;
+        grew = true;
+      }
+    }
+  }
+  return x;
+}
+
+/// The horse analog at 200 rows and its ~97k-FD left-reduced cover, built
+/// once per test binary. Its canonical cover and rank pass take about a
+/// second each in an optimized build, long enough for the cancellation
+/// tests to interrupt them.
+struct HorseAnalog {
+  Relation relation = EncodeRelation(GenerateBenchmark("horse", 200)).relation;
+  FdSet cover = MakeDiscovery("dhyfd")->discover(relation).fds;
+};
+
+inline const HorseAnalog& Horse() {
+  static const HorseAnalog horse;
+  return horse;
 }
 
 /// Gtest-friendly description of a cover difference, or "" if equivalent.
