@@ -9,12 +9,15 @@
 #   3. tier-1            — full -Werror build + every ctest
 #   4. bench             — build-only compile of every bench/ harness
 #   5. tsan              — concurrency tests under ThreadSanitizer, including
-#                          the net server round-trip + backpressure suite
+#                          the net server round-trip + backpressure suite and
+#                          the pooled encode / sampler / rank / profile
+#                          equivalence tests
 #   6. asan              — partition-arena tests, the word-indexed closure
 #                          bitset matrix (closure + canonical-cover tests),
 #                          the wire-framing negative/fuzz-ish suite (incl.
 #                          the query payload negatives), the query lattice,
-#                          the prefix-shared rank pass, the input-width
+#                          the prefix-shared rank pass, the sampler's
+#                          row-major code copy, the encoder, the input-width
 #                          negatives, and the net server round-trips + trace
 #                          propagation under ASan
 #   7. ubsan             — bit-twiddling kernels under UBSan (non-recoverable)
@@ -114,7 +117,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/cost_ledger_test
 # parallel_discovery_test runs the sharded DHyFD/HyFD validators and the
 # lock-sharded partition cache under real concurrency: the parallel ==
 # sequential cover equivalence is asserted here with TSan watching the
-# help-first shard claims, the obs-delta relay, and cache pin lifetimes.
+# help-first shard claims, the obs-delta relay, and cache pin lifetimes. The
+# per-column encoder, the sampler's in-shard dedupe against the shared seen
+# set, and the rank shards' atomic cell marks are checked the same way.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_discovery_test
 
 echo
@@ -125,7 +130,7 @@ echo "=== asan: partition arena indexing under AddressSanitizer ==="
 cmake -B build-asan -S . -DDHYFD_SANITIZE=address -DDHYFD_WERROR=ON
 cmake --build build-asan -j "$JOBS" --target \
   partition_test partition_cache_test partition_intersect_test \
-  closure_test cover_test \
+  closure_test cover_test sampler_test encoder_test \
   net_wire_test query_test redundancy_test robustness_test live_profile_test \
   net_server_test trace_propagation_test
 ./build-asan/tests/partition_test
@@ -136,6 +141,11 @@ cmake --build build-asan -j "$JOBS" --target \
 # word boundary and the canonical-cover tests drive ~97k-FD matrices.
 ./build-asan/tests/closure_test
 ./build-asan/tests/cover_test
+# The sampler reads a row-major copy of the codes at row * cols offsets in
+# both its neighborhood sort and its agree-set loop; the encoder fills one
+# code column per shard.
+./build-asan/tests/sampler_test
+./build-asan/tests/encoder_test
 # net_wire_test feeds the frame decoder truncated frames, hostile length
 # prefixes, and random byte soup — exactly the inputs where a missing bounds
 # check would read past a buffer, which is ASan's home turf. The query

@@ -34,7 +34,7 @@ struct DhyfdOptions {
   /// Threads used within this run, including the calling thread (<= 1 =
   /// sequential). Effective only with a worker_pool; the cover is
   /// bit-identical to the sequential one at any degree (see DESIGN.md,
-  /// "Parallel discovery").
+  /// "Parallel pipeline").
   int parallelism = 1;
   /// Pool to fan validation/sampling/DDM shards out over. Not owned; may be
   /// shared with other jobs (shards are claimed help-first, so a busy pool

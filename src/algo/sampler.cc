@@ -11,75 +11,92 @@ namespace dhyfd {
 NeighborhoodSampler::NeighborhoodSampler(
     const Relation& r, const std::vector<StrippedPartition>& attr_partitions,
     ThreadPool* pool, int parallelism)
-    : rel_(r), pool_(pool), parallelism_(parallelism) {
-  const int m = r.num_cols();
+    : num_cols_(r.num_cols()),
+      pool_(pool),
+      parallelism_(parallelism),
+      rows_(static_cast<size_t>(r.num_rows()) * r.num_cols()) {
+  const int m = num_cols_;
+  for (AttrId c = 0; c < m; ++c) {
+    const std::vector<ValueId>& column = r.column(c);
+    for (RowId t = 0; t < r.num_rows(); ++t) {
+      rows_[static_cast<size_t>(t) * m + c] = column[t];
+    }
+  }
   sorted_.resize(m);
   // Per-attribute neighborhood sort; attributes are independent, so shards
   // write disjoint sorted_[a] slots.
-  auto sort_attribute = [&](size_t a) {
+  auto sort_attribute = [&](AttrId a) {
     sorted_[a] = attr_partitions[a];
     for (size_t ci = 0; ci < static_cast<size_t>(sorted_[a].size()); ++ci) {
       std::span<RowId> cluster = sorted_[a].mutable_cluster(ci);
       // Sort by the remaining attributes, wrapping around from a+1, so the
       // neighborhood ordering differs per attribute and covers more pairs.
       std::sort(cluster.begin(), cluster.end(), [&](RowId x, RowId y) {
-        for (int off = 1; off < m; ++off) {
-          AttrId c = (static_cast<int>(a) + off) % m;
-          ValueId vx = rel_.value(x, c), vy = rel_.value(y, c);
-          if (vx != vy) return vx < vy;
+        const ValueId* rx = row(x);
+        const ValueId* ry = row(y);
+        for (int c = a + 1; c < m; ++c) {
+          if (rx[c] != ry[c]) return rx[c] < ry[c];
+        }
+        for (int c = 0; c < a; ++c) {
+          if (rx[c] != ry[c]) return rx[c] < ry[c];
         }
         return x < y;
       });
     }
   };
   if (pool_ != nullptr && parallelism_ > 1 && m > 1) {
-    pool_->parallel_for(
-        m, parallelism_,
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t a = begin; a < end; ++a) sort_attribute(a);
-        },
+    pool_->run_shards(
+        parallelism_, m, [&](size_t a) { sort_attribute(static_cast<AttrId>(a)); },
         kObsDiscoverShard);
   } else {
-    for (int a = 0; a < m; ++a) sort_attribute(a);
+    for (AttrId a = 0; a < m; ++a) sort_attribute(a);
   }
 }
 
-void NeighborhoodSampler::collect_attribute(AttrId a, int window,
-                                            std::vector<AttributeSet>& out,
-                                            int64_t& comparisons) const {
-  const int m = rel_.num_cols();
+int64_t NeighborhoodSampler::collect_attribute(AttrId a, int window,
+                                               std::vector<AttributeSet>& out) const {
+  const int m = num_cols_;
+  // The sets already in this bucket; most compared pairs repeat one of
+  // them or a set in seen_.
+  std::unordered_set<AttributeSet, AttributeSetHash> local;
+  int64_t pairs = 0;
   for (ClusterView cluster : sorted_[a].clusters()) {
     if (static_cast<int>(cluster.size()) <= window) continue;
     for (size_t i = 0; i + window < cluster.size(); ++i) {
-      RowId s = cluster[i], t = cluster[i + window];
-      ++comparisons;
-      AttributeSet ag = rel_.agree_set(s, t);
+      const ValueId* s = row(cluster[i]);
+      const ValueId* t = row(cluster[i + window]);
+      ++pairs;
+      AttributeSet ag;
+      for (int c = 0; c < m; ++c) {
+        if (s[c] == t[c]) ag.set(c);
+      }
       if (ag.count() == m) continue;  // duplicate rows imply no non-FD
+      if (seen_.contains(ag) || !local.insert(ag).second) continue;
       out.push_back(ag);
     }
   }
+  return pairs;
 }
 
 std::vector<AttributeSet> NeighborhoodSampler::run(int window) {
-  const int m = rel_.num_cols();
-  // Agree-set induction fans out per attribute; dedup stays on the calling
-  // thread, replayed in attribute order, so `fresh` (and the seen_ state
-  // feeding every later run) is independent of shard timing.
+  const int m = num_cols_;
+  // Agree-set induction fans out per attribute; each bucket already drops
+  // what `seen_` holds and its own repeats, and the final dedup stays on the
+  // calling thread, replayed in attribute order, so `fresh` (and the seen_
+  // state feeding every later run) is independent of shard timing.
   std::vector<std::vector<AttributeSet>> per_attr(m);
   std::vector<int64_t> per_attr_comparisons(m, 0);
   if (pool_ != nullptr && parallelism_ > 1 && m > 1) {
-    pool_->parallel_for(
-        m, parallelism_,
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t a = begin; a < end; ++a) {
-            collect_attribute(static_cast<AttrId>(a), window, per_attr[a],
-                              per_attr_comparisons[a]);
-          }
+    pool_->run_shards(
+        parallelism_, m,
+        [&](size_t a) {
+          per_attr_comparisons[a] =
+              collect_attribute(static_cast<AttrId>(a), window, per_attr[a]);
         },
         kObsDiscoverShard);
   } else {
     for (AttrId a = 0; a < m; ++a) {
-      collect_attribute(a, window, per_attr[a], per_attr_comparisons[a]);
+      per_attr_comparisons[a] = collect_attribute(a, window, per_attr[a]);
     }
   }
 

@@ -21,11 +21,16 @@ class ThreadPool;
 /// most specific non-FDs — cheaply.
 ///
 /// With a pool and parallelism > 1, the per-attribute work — neighborhood
-/// sorting in the constructor, agree-set induction in run() — is sharded
-/// over the pool. Each shard fills per-attribute buckets; the dedup against
-/// `seen_` then replays the buckets in attribute order on the calling
-/// thread, so the returned fresh agree sets are the exact sequence the
-/// sequential loop produces.
+/// sorting in the constructor, agree-set induction in run() — runs one
+/// attribute per pool shard. Each shard fills its attribute's bucket with the agree
+/// sets that are neither in `seen_` (read-only while shards run) nor earlier
+/// in the same bucket; the calling thread then replays the buckets in
+/// attribute order into `seen_`, so the returned fresh agree sets are the
+/// exact sequence the sequential loop produces.
+///
+/// Both the neighborhood sort and the agree-set loop compare whole rows, so
+/// the sampler keeps a row-major copy of the codes and reads each row
+/// contiguously.
 class NeighborhoodSampler {
  public:
   /// `attr_partitions` must contain one partition per attribute and outlive
@@ -52,14 +57,20 @@ class NeighborhoodSampler {
   int window() const { return window_; }
 
  private:
-  /// All (non-trivial) agree sets of attribute a's clusters at `window`, in
-  /// cluster-then-pair order, before dedup.
-  void collect_attribute(AttrId a, int window, std::vector<AttributeSet>& out,
-                         int64_t& comparisons) const;
+  /// Appends to `out` the (non-trivial) agree sets of attribute a's clusters
+  /// at `window` that are not in `seen_`, each at its first occurrence in
+  /// cluster-then-pair order; returns the number of pairs compared.
+  int64_t collect_attribute(AttrId a, int window, std::vector<AttributeSet>& out) const;
 
-  const Relation& rel_;
+  const ValueId* row(RowId t) const {
+    return rows_.data() + static_cast<size_t>(t) * num_cols_;
+  }
+
+  int num_cols_;
   ThreadPool* pool_;
   int parallelism_;
+  // The relation's codes, row-major: row t is rows_[t * num_cols_, ...).
+  std::vector<ValueId> rows_;
   // Per attribute: a CSR copy of that attribute's partition with rows in
   // sorted-neighborhood order (reordered in place via mutable_cluster).
   std::vector<StrippedPartition> sorted_;

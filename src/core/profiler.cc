@@ -26,7 +26,8 @@ ProfileReport Profiler::profile(const RawTable& table) const {
   EncodedRelation encoded;
   {
     TraceSpan span(kObsProfileEncode);
-    encoded = EncodeRelation(table, options_.semantics);
+    encoded = EncodeRelation(table, options_.semantics, {}, options_.worker_pool,
+                             options_.parallelism);
   }
   double encode_seconds = timer.seconds();
   if (options_.stage_hook) {
@@ -91,7 +92,8 @@ ProfileReport Profiler::profile(const Relation& relation) const {
   {
     timer.reset();
     TraceSpan span(kObsProfileRank);
-    CoverRedundancy redundancy = ComputeCoverRedundancy(relation, report.canonical);
+    CoverRedundancy redundancy = ComputeCoverRedundancy(
+        relation, report.canonical, options_.worker_pool, options_.parallelism);
     ObsAdd(kObsProfileRankRefinements, redundancy.refinements);
     report.ranking = SortByRedundancy(std::move(redundancy.per_fd), options_.ranking_mode);
     report.dataset_redundancy = redundancy.dataset;

@@ -31,11 +31,13 @@ struct ProfileOptions {
   /// Cooperative deadline for the discovery stage in seconds (0 = none),
   /// wired into util/deadline.h exactly like the paper's TL budget.
   double time_limit_seconds = 0;
-  /// Threads used inside the discovery stage, including the calling thread
-  /// (<= 1 = sequential). Effective only with worker_pool set; parallel
-  /// runs return bit-identical covers to sequential ones.
+  /// Threads used inside the encode, discovery and rank stages, including
+  /// the calling thread (<= 1 = sequential). Effective only with worker_pool
+  /// set. Encoding shards by column, discovery by attribute and candidate,
+  /// ranking by runs of the lexicographic LHS order; parallel runs return
+  /// bit-identical reports to sequential ones.
   int parallelism = 1;
-  /// Worker pool the discovery shards fan out over (not owned; may be
+  /// Worker pool the stage shards fan out over (not owned; may be
   /// shared with other jobs). The JobScheduler sets this for service jobs;
   /// library callers may pass their own pool.
   ThreadPool* worker_pool = nullptr;

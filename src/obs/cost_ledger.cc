@@ -30,8 +30,11 @@ LedgerField Classify(const char* name) {
   if (std::strcmp(name, kObsPoolShardCpuNs) == 0) {
     return LedgerField::kCpu;
   }
+  // The rank stage's LHS partitions count like discovery's: one per
+  // attribute refinement, emitted once per stage by the profiler.
   if (std::strcmp(name, kObsPartitionIntersections) == 0 ||
-      std::strcmp(name, kObsPartitionDdmDynamicBuilds) == 0) {
+      std::strcmp(name, kObsPartitionDdmDynamicBuilds) == 0 ||
+      std::strcmp(name, kObsProfileRankRefinements) == 0) {
     return LedgerField::kPartitionsBuilt;
   }
   if (std::strcmp(name, kObsPartitionCacheHits) == 0 ||

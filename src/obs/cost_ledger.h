@@ -15,7 +15,8 @@ namespace dhyfd {
 struct CostLedger {
   std::int64_t cpu_ns = 0;            // CLOCK_THREAD_CPUTIME_ID delta
   std::int64_t validations = 0;       // discover/query/incr FD validations
-  std::int64_t partitions_built = 0;  // intersections + dynamic DDM builds
+  std::int64_t partitions_built = 0;  // intersections, dynamic DDM builds,
+                                      // rank-stage LHS refinements
   std::int64_t cache_hits = 0;        // partition cache + prefix cache hits
   std::int64_t cache_misses = 0;
   std::int64_t bytes_streamed = 0;    // filled by the transport, not the scope

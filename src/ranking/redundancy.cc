@@ -1,12 +1,14 @@
 #include "ranking/redundancy.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <span>
 
 #include "partition/partition_ops.h"
 #include "partition/stripped_partition.h"
 #include "util/cancellation.h"
+#include "util/thread_pool.h"
 
 namespace dhyfd {
 
@@ -41,9 +43,14 @@ FdRedundancy FdRedundancyFromPartition(const Relation& r, const Fd& fd,
   return red;
 }
 
-CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover) {
+CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover,
+                                       ThreadPool* pool, int parallelism) {
+  // Helper threads do not inherit the caller's CancelScope, so every shard
+  // polls the caller's token directly.
+  const CancelToken* token = CancelScope::Current();
+  auto cancelled = [token] { return token != nullptr && token->cancelled(); };
   // An already-cancelled run skips the set-up too (the LHS sort).
-  if (CancelScope::CurrentCancelled()) return CoverRedundancy();
+  if (cancelled()) return CoverRedundancy();
   const size_t n = cover.fds.size();
   // Each LHS as an ascending attribute list, flattened: lhs i is
   // attrs[begin[i], begin[i + 1]).
@@ -66,45 +73,67 @@ CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover) {
 
   CoverRedundancy out;
   out.per_fd.resize(n);
-  DatasetRedundancy& dataset = out.dataset;
-  dataset.num_values = r.num_values();
   const int m = r.num_cols();
   std::vector<uint8_t> marked(static_cast<size_t>(r.num_rows()) * m, 0);
-  PartitionRefiner refiner(r);
   const StrippedPartition whole = StrippedPartition::whole(r.num_rows());
-  // prefix[d] is pi over the first d + 1 attributes of `path`, the LHS the
-  // stack was last built for.
-  std::vector<StrippedPartition> prefix;
-  std::span<const AttrId> path;
-  for (size_t k = 0; k < n; ++k) {
-    if (k % kCancelPollInterval == 0 && CancelScope::CurrentCancelled()) {
-      return CoverRedundancy();
+  std::atomic<bool> stopped{false};
+  std::atomic<int64_t> refinements{0}, red{0}, red_plus0{0};
+  // One shard is a contiguous run of the lexicographic order with its own
+  // refiner and prefix stack; its first LHS is refined from scratch.
+  auto rank_range = [&](size_t, size_t first, size_t last) {
+    PartitionRefiner refiner(r);
+    // prefix[d] is pi over the first d + 1 attributes of `path`, the LHS the
+    // stack was last built for.
+    std::vector<StrippedPartition> prefix;
+    std::span<const AttrId> path;
+    int64_t local_refinements = 0, local_red = 0, local_red_plus0 = 0;
+    for (size_t k = first; k < last; ++k) {
+      if ((k - first) % kCancelPollInterval == 0 && cancelled()) {
+        stopped.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const size_t i = order[k];
+      const Fd& fd = cover.fds[i];
+      std::span<const AttrId> x = lhs(i);
+      const size_t shared =
+          std::mismatch(x.begin(), x.end(), path.begin(), path.end()).first - x.begin();
+      if (prefix.size() < x.size()) prefix.resize(x.size());
+      for (size_t d = shared; d < x.size(); ++d) {
+        refiner.refine_into(d == 0 ? whole : prefix[d - 1], x[d], prefix[d]);
+        ++local_refinements;
+      }
+      path = x;
+      const StrippedPartition& pi = x.empty() ? whole : prefix[x.size() - 1];
+      out.per_fd[i] = FdRedundancyFromPartition(r, fd, pi);
+      // A cell is counted by the one shard that flips it from 0 to 1,
+      // however many FDs make it redundant, so the counts depend neither on
+      // the visit order nor on the shard count.
+      for (RowId row : pi.row_arena()) {
+        fd.rhs.for_each([&](AttrId a) {
+          std::atomic_ref<uint8_t> cell(marked[static_cast<size_t>(row) * m + a]);
+          if (cell.load(std::memory_order_relaxed) != 0 ||
+              cell.exchange(1, std::memory_order_relaxed) != 0) {
+            return;
+          }
+          ++local_red_plus0;
+          if (!r.is_null(row, a)) ++local_red;
+        });
+      }
     }
-    const size_t i = order[k];
-    const Fd& fd = cover.fds[i];
-    std::span<const AttrId> x = lhs(i);
-    const size_t shared = std::mismatch(x.begin(), x.end(), path.begin(), path.end()).first -
-                          x.begin();
-    if (prefix.size() < x.size()) prefix.resize(x.size());
-    for (size_t d = shared; d < x.size(); ++d) {
-      refiner.refine_into(d == 0 ? whole : prefix[d - 1], x[d], prefix[d]);
-      ++out.refinements;
-    }
-    path = x;
-    const StrippedPartition& pi = x.empty() ? whole : prefix[x.size() - 1];
-    out.per_fd[i] = FdRedundancyFromPartition(r, fd, pi);
-    // A cell is counted when first marked, however many FDs make it
-    // redundant, so the counts do not depend on the visit order.
-    for (RowId row : pi.row_arena()) {
-      fd.rhs.for_each([&](AttrId a) {
-        uint8_t& cell = marked[static_cast<size_t>(row) * m + a];
-        if (cell) return;
-        cell = 1;
-        ++dataset.red_plus0;
-        if (!r.is_null(row, a)) ++dataset.red;
-      });
-    }
+    refinements += local_refinements;
+    red += local_red;
+    red_plus0 += local_red_plus0;
+  };
+  if (pool != nullptr && parallelism > 1) {
+    pool->parallel_for(n, parallelism, rank_range);
+  } else {
+    rank_range(0, 0, n);
   }
+  if (stopped.load()) return CoverRedundancy();
+  out.dataset.num_values = r.num_values();
+  out.dataset.red = red.load();
+  out.dataset.red_plus0 = red_plus0.load();
+  out.refinements = refinements.load();
   return out;
 }
 

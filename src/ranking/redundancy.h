@@ -26,6 +26,7 @@ struct FdRedundancy {
 };
 
 class StrippedPartition;
+class ThreadPool;
 
 /// Redundancy counts for one FD from an already-built pi_{lhs}. The query
 /// engine scores candidates with the partitions its lattice traversal holds
@@ -64,9 +65,16 @@ struct CoverRedundancy {
 /// LHSs are visited in lexicographic attribute-list order, and each pi_LHS
 /// is refined from the partition of the longest prefix it shares with the
 /// previous LHS, so sibling LHSs share their common prefix's refinements.
-/// Polls the thread's CancelScope every kCancelPollInterval FDs; a
-/// cancelled run returns an empty result, never a partial one.
-CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover);
+///
+/// With a `pool` (not owned, may be null) the lexicographic order is cut
+/// into up to `parallelism` contiguous chunks, one shard each with its own
+/// refiner and prefix stack; per_fd and the dataset counts are the same at
+/// any degree, while `refinements` grows by each later chunk's first LHS.
+/// Every shard polls the caller's CancelScope token every
+/// kCancelPollInterval FDs; a cancelled run returns an empty result, never
+/// a partial one.
+CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover,
+                                       ThreadPool* pool = nullptr, int parallelism = 1);
 
 /// O(rows^2) reference counter for one FD; cross-checks the partition-based
 /// counters in tests.

@@ -1,20 +1,26 @@
 #include "relation/encoder.h"
 
 #include <unordered_map>
+#include <utility>
+
+#include "util/thread_pool.h"
 
 namespace dhyfd {
 
 EncodedRelation EncodeRelation(const RawTable& table, NullSemantics semantics,
-                               const CsvOptions& options) {
+                               const CsvOptions& options, ThreadPool* pool,
+                               int parallelism) {
   const int cols = table.num_cols();
   const RowId rows = table.num_rows();
   EncodedRelation out{Relation(Schema(table.header), rows), {}};
   out.dictionaries.resize(cols);
 
-  for (int c = 0; c < cols; ++c) {
+  auto encode_column = [&](AttrId c) {
     std::unordered_map<std::string, ValueId> codes;
     codes.reserve(rows);
-    std::vector<std::string>& dict = out.dictionaries[c];
+    // Built locally and moved in at the end: the dictionaries' vector
+    // headers share cache lines across shards.
+    std::vector<std::string> dict;
     ValueId null_code = -1;
     for (RowId r = 0; r < rows; ++r) {
       const std::string& cell = table.rows[r][c];
@@ -39,6 +45,13 @@ EncodedRelation EncodeRelation(const RawTable& table, NullSemantics semantics,
       out.relation.set_value(r, c, it->second);
     }
     out.relation.set_domain_size(c, static_cast<ValueId>(dict.size()));
+    out.dictionaries[c] = std::move(dict);
+  };
+  if (pool != nullptr && parallelism > 1 && cols > 1) {
+    pool->run_shards(parallelism, static_cast<size_t>(cols),
+                     [&](size_t c) { encode_column(static_cast<AttrId>(c)); });
+  } else {
+    for (AttrId c = 0; c < cols; ++c) encode_column(c);
   }
   return out;
 }

@@ -10,6 +10,8 @@
 
 namespace dhyfd {
 
+class ThreadPool;
+
 /// Result of DIIS encoding: the encoded relation plus, per column, the
 /// dictionary mapping ValueId back to the original string (null codes map to
 /// an empty string under kNullNotEqualsNull; under kNullEqualsNull the single
@@ -32,9 +34,15 @@ struct EncodedRelation {
 ///  * kNullEqualsNull: all null markers in a column share one code.
 ///  * kNullNotEqualsNull: every null occurrence gets a fresh code, so it
 ///    agrees with no other row. The null flag is preserved either way.
+///
+/// Columns are independent, so with a `pool` (not owned, may be null) they
+/// are encoded one column per shard on up to `parallelism` threads including
+/// the caller. Each shard writes only its own column's codes, null flags,
+/// domain size and dictionary, so the result is the same at any degree.
 EncodedRelation EncodeRelation(const RawTable& table,
                                NullSemantics semantics = NullSemantics::kNullEqualsNull,
-                               const CsvOptions& options = {});
+                               const CsvOptions& options = {},
+                               ThreadPool* pool = nullptr, int parallelism = 1);
 
 /// Stateful DIIS encoder for live relations: encodes an initial table like
 /// EncodeRelation, then re-encodes only the cells of appended rows. Existing

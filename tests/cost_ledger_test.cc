@@ -11,7 +11,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/profiler.h"
+#include "datagen/benchmark_data.h"
 #include "obs/obs.h"
+#include "obs/obs_schema.gen.h"
+#include "util/thread_pool.h"
 
 namespace dhyfd {
 namespace {
@@ -21,6 +25,17 @@ class RecordingSink : public ObsSink {
  public:
   void add(const char* name, std::int64_t delta) override {
     seen.emplace_back(name, delta);
+  }
+  /// Sum of every delta recorded under `name`, and how many adds carried it.
+  std::pair<std::int64_t, int> total(const std::string& name) const {
+    std::pair<std::int64_t, int> out{0, 0};
+    for (const auto& [n, d] : seen) {
+      if (n == name) {
+        out.first += d;
+        ++out.second;
+      }
+    }
+    return out;
   }
   std::vector<std::pair<std::string, std::int64_t>> seen;
 };
@@ -142,6 +157,63 @@ TEST(CostLedgerScopeTest, WorksWithNoPreviousSink) {
   }
   EXPECT_EQ(cost.validations, 2);
   EXPECT_EQ(CurrentObsSink(), nullptr);
+}
+
+TEST(CostLedgerScopeTest, RankRefinementsCountAsPartitionsBuilt) {
+  CostLedger cost;
+  {
+    CostLedgerScope scope(&cost);
+    ObsAdd(kObsProfileRankRefinements, 12);
+    ObsAdd(kObsPartitionIntersections, 1);
+  }
+  EXPECT_EQ(cost.partitions_built, 13);
+}
+
+TEST(CostLedgerScopeTest, HelperShardDeltasAreChargedOnce) {
+  ThreadPool pool(4);
+  CostLedger cost;
+  {
+    CostLedgerScope scope(&cost, /*charge_cpu=*/false);
+    pool.run_shards(4, 64, [](std::size_t) { ObsAdd(kObsPartitionIntersections, 1); });
+  }
+  EXPECT_EQ(cost.partitions_built, 64);
+}
+
+TEST(CostLedgerScopeTest, PooledProfileChargesTheSameWorkAsSequential) {
+  // Counters that do not depend on the degree must reach the ledger and the
+  // forwarded sink exactly as often from a pooled profile as from a
+  // sequential one: helper deltas are replayed once on the caller.
+  RawTable table = GenerateBenchmark("ncvoter", 3000);
+  ThreadPool pool(4);
+  auto run = [&](int degree, RecordingSink* sink) {
+    ProfileOptions options;
+    options.parallelism = degree;
+    options.worker_pool = degree > 1 ? &pool : nullptr;
+    ObsScope outer(sink);
+    CostLedger cost;
+    {
+      CostLedgerScope scope(&cost, /*charge_cpu=*/false);
+      Profiler(options).profile(table);
+    }
+    return cost;
+  };
+  RecordingSink seq_sink, par_sink;
+  CostLedger seq = run(1, &seq_sink);
+  CostLedger par = run(4, &par_sink);
+  EXPECT_GT(seq.validations, 0);
+  EXPECT_EQ(par.validations, seq.validations);
+  for (const char* name : {kObsDiscoverValidatorCalls, kObsDiscoverSamplerPairs}) {
+    EXPECT_EQ(par_sink.total(name).first, seq_sink.total(name).first) << name;
+  }
+  // The rank stage reports once per profile; a later shard's first LHS is
+  // refined from scratch, so the pooled pass may refine a little more.
+  auto [seq_refinements, seq_adds] = seq_sink.total(kObsProfileRankRefinements);
+  auto [par_refinements, par_adds] = par_sink.total(kObsProfileRankRefinements);
+  EXPECT_EQ(seq_adds, 1);
+  EXPECT_EQ(par_adds, 1);
+  EXPECT_GT(seq_refinements, 0);
+  EXPECT_GE(par_refinements, seq_refinements);
+  EXPECT_GE(par.partitions_built, par_refinements);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/thread_pool.h"
+
 namespace dhyfd {
 namespace {
 
@@ -90,6 +92,23 @@ TEST(EncoderTest, NullNotEqualsNullGrowsDomain) {
   // Column b has values {1, 2} plus two nulls: 3 codes under =, 4 under !=.
   EXPECT_EQ(eq.relation.domain_size(1), 3);
   EXPECT_EQ(neq.relation.domain_size(1), 4);
+}
+
+TEST(EncoderTest, PooledEncodingMatchesSequential) {
+  ThreadPool pool(3);
+  for (NullSemantics sem :
+       {NullSemantics::kNullEqualsNull, NullSemantics::kNullNotEqualsNull}) {
+    EncodedRelation want = EncodeRelation(SampleTable(), sem);
+    EncodedRelation got = EncodeRelation(SampleTable(), sem, {}, &pool, 3);
+    EXPECT_EQ(got.dictionaries, want.dictionaries);
+    for (AttrId c = 0; c < 2; ++c) {
+      EXPECT_EQ(got.relation.column(c), want.relation.column(c));
+      EXPECT_EQ(got.relation.domain_size(c), want.relation.domain_size(c));
+      for (RowId r = 0; r < 4; ++r) {
+        EXPECT_EQ(got.relation.is_null(r, c), want.relation.is_null(r, c));
+      }
+    }
+  }
 }
 
 }  // namespace

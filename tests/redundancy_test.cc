@@ -10,36 +10,14 @@
 #include "partition/stripped_partition.h"
 #include "test_util.h"
 #include "util/cancellation.h"
+#include "util/thread_pool.h"
 
 namespace dhyfd {
 namespace {
 
+using testutil::BruteForceDatasetRedundancy;
 using testutil::FromValues;
 using testutil::RandomRelation;
-
-/// O(rows^2) reference for the dataset counts that shares no code with the
-/// partition pass: cell t(A) is redundant when some cover FD X -> Y with A
-/// in Y has a witness tuple agreeing with t on X.
-DatasetRedundancy BruteForceDatasetRedundancy(const Relation& r, const FdSet& cover) {
-  DatasetRedundancy d;
-  d.num_values = static_cast<int64_t>(r.num_rows()) * r.num_cols();
-  for (RowId t = 0; t < r.num_rows(); ++t) {
-    for (AttrId a = 0; a < r.num_cols(); ++a) {
-      bool redundant = false;
-      for (const Fd& fd : cover.fds) {
-        if (!fd.rhs.test(a)) continue;
-        for (RowId s = 0; s < r.num_rows() && !redundant; ++s) {
-          redundant = s != t && r.agree_on(s, t, fd.lhs);
-        }
-        if (redundant) break;
-      }
-      if (!redundant) continue;
-      ++d.red_plus0;
-      if (!r.is_null(t, a)) ++d.red;
-    }
-  }
-  return d;
-}
 
 TEST(RedundancyTest, ConstantColumnMakesEveryOccurrenceRedundant) {
   // Paper sigma_1 = {} -> state: all 1000 occurrences redundant; here 4.
@@ -193,33 +171,56 @@ TEST(RedundancyTest, PreCancelledTokenStopsRankLoop) {
   CancelToken token;
   token.cancel();
   CancelScope scope(&token);
-  auto start = std::chrono::steady_clock::now();
-  CoverRedundancy red = ComputeCoverRedundancy(horse.relation, horse.cover);
-  double ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                        start).count();
-  EXPECT_TRUE(red.per_fd.empty());
-  EXPECT_EQ(red.refinements, 0);
-  EXPECT_EQ(red.dataset.red_plus0, 0);
-  EXPECT_LT(ms, 100.0);
+  ThreadPool pool(4);
+  for (int degree : {1, 4}) {
+    auto start = std::chrono::steady_clock::now();
+    CoverRedundancy red =
+        ComputeCoverRedundancy(horse.relation, horse.cover, &pool, degree);
+    double ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start).count();
+    EXPECT_TRUE(red.per_fd.empty()) << "degree " << degree;
+    EXPECT_EQ(red.refinements, 0) << "degree " << degree;
+    EXPECT_EQ(red.dataset.red_plus0, 0) << "degree " << degree;
+    EXPECT_LT(ms, 100.0) << "degree " << degree;
+  }
 }
 
 TEST(RedundancyTest, CancelMidLoopReturnsEmptyResult) {
+  using Clock = std::chrono::steady_clock;
+  auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
   const testutil::HorseAnalog& horse = testutil::Horse();
-  CancelToken token;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    token.cancel();
-  });
-  CoverRedundancy red;
-  {
-    CancelScope scope(&token);
-    red = ComputeCoverRedundancy(horse.relation, horse.cover);
+  ThreadPool pool(4);
+  for (int degree : {1, 4}) {
+    Clock::time_point start = Clock::now();
+    ComputeCoverRedundancy(horse.relation, horse.cover, &pool, degree);
+    const double full_ms = ms(Clock::now() - start);
+
+    CancelToken token;
+    Clock::time_point cancelled_at;
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      cancelled_at = Clock::now();
+      token.cancel();
+    });
+    CoverRedundancy red;
+    {
+      // Only the caller is in the scope: the helper shards poll the token
+      // the pass captured from it.
+      CancelScope scope(&token);
+      red = ComputeCoverRedundancy(horse.relation, horse.cover, &pool, degree);
+    }
+    Clock::time_point returned_at = Clock::now();
+    canceller.join();
+    // A finished pass would have scored every FD.
+    EXPECT_TRUE(red.per_fd.empty()) << "degree " << degree;
+    EXPECT_EQ(red.refinements, 0) << "degree " << degree;
+    EXPECT_EQ(red.dataset.num_values, 0) << "degree " << degree;
+    // Every shard stops within one poll interval; a shard that never polled
+    // would run its whole chunk, about a full pass at any degree.
+    EXPECT_LT(ms(returned_at - cancelled_at), full_ms / 2) << "degree " << degree;
   }
-  canceller.join();
-  // A finished pass would have scored every FD.
-  EXPECT_TRUE(red.per_fd.empty());
-  EXPECT_EQ(red.refinements, 0);
-  EXPECT_EQ(red.dataset.num_values, 0);
 }
 
 }  // namespace

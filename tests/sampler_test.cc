@@ -4,6 +4,7 @@
 
 #include "algo/agree_sets.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace dhyfd {
 namespace {
@@ -100,6 +101,27 @@ TEST(SamplerTest, FindsLargeAgreeSetsOnDuplicateHeavyData) {
     if (s == (AttributeSet{0, 1})) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(SamplerTest, PooledRunsMatchSequential) {
+  Relation r = RandomRelation(17, 300, 6, 3, 0.1);
+  auto partitions = AttrPartitions(r);
+  NeighborhoodSampler sequential(r, partitions);
+  ThreadPool pool(3);
+  NeighborhoodSampler pooled(r, partitions, &pool, 3);
+  for (int w = 1; w <= 4; ++w) {
+    EXPECT_EQ(pooled.run(w), sequential.run(w)) << "window " << w;
+    EXPECT_EQ(pooled.pairs_compared(), sequential.pairs_compared()) << "window " << w;
+    EXPECT_EQ(pooled.last_efficiency(), sequential.last_efficiency()) << "window " << w;
+  }
+}
+
+TEST(SamplerTest, HandlesEmptyRelation) {
+  Relation r = testutil::FromValues({});
+  auto partitions = AttrPartitions(r);
+  NeighborhoodSampler sampler(r, partitions);
+  EXPECT_TRUE(sampler.initial(2).empty());
+  EXPECT_EQ(sampler.pairs_compared(), 0);
 }
 
 }  // namespace

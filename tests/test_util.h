@@ -10,6 +10,7 @@
 #include "fd/closure.h"
 #include "fd/fd_set.h"
 #include "partition/stripped_partition.h"
+#include "ranking/redundancy.h"
 #include "relation/encoder.h"
 #include "relation/relation.h"
 #include "util/random.h"
@@ -86,6 +87,30 @@ inline bool HoldsBruteForce(const Relation& r, const Fd& fd) {
     }
   }
   return true;
+}
+
+/// O(rows^2) reference for the dataset counts that shares no code with the
+/// partition pass: cell t(A) is redundant when some cover FD X -> Y with A
+/// in Y has a witness tuple agreeing with t on X.
+inline DatasetRedundancy BruteForceDatasetRedundancy(const Relation& r, const FdSet& cover) {
+  DatasetRedundancy d;
+  d.num_values = static_cast<int64_t>(r.num_rows()) * r.num_cols();
+  for (RowId t = 0; t < r.num_rows(); ++t) {
+    for (AttrId a = 0; a < r.num_cols(); ++a) {
+      bool redundant = false;
+      for (const Fd& fd : cover.fds) {
+        if (!fd.rhs.test(a)) continue;
+        for (RowId s = 0; s < r.num_rows() && !redundant; ++s) {
+          redundant = s != t && r.agree_on(s, t, fd.lhs);
+        }
+        if (redundant) break;
+      }
+      if (!redundant) continue;
+      ++d.red_plus0;
+      if (!r.is_null(t, a)) ++d.red;
+    }
+  }
+  return d;
 }
 
 /// Naive fixpoint closure: applies every FD with on[i] set whose LHS lies
