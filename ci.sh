@@ -1,33 +1,34 @@
 #!/usr/bin/env bash
 # CI entry point. Legs, in order:
-#   1. invariant lint    — tools/check_invariants.py self-test + tree sweep
-#   2. analyze           — tools/analyze/analyze.py self-test, tree sweep
-#                          (layering + obs schema + switch exhaustiveness),
-#                          seeded mis-architecture that must FAIL, generated
-#                          header/dot drift gate, and a typo'd-constant smoke
-#                          that must FAIL to compile
-#   3. tier-1            — full -Werror build + every ctest
-#   4. bench             — build-only compile of every bench/ harness
-#   5. tsan              — concurrency tests under ThreadSanitizer, including
+#   1. analyze           — tools/analyze/analyze.py self-test, tree sweep
+#                          (layering + obs schema + switch exhaustiveness +
+#                          per-file conventions), seeded mis-architecture
+#                          that must FAIL, generated header/dot drift gate,
+#                          and a typo'd-constant smoke that must FAIL to
+#                          compile
+#   2. tier-1            — full -Werror build + every ctest
+#   3. bench             — build-only compile of every bench/ harness
+#   4. tsan              — concurrency tests under ThreadSanitizer, including
 #                          the net server round-trip + backpressure suite and
 #                          the pooled encode / sampler / rank / profile
 #                          equivalence tests
-#   6. asan              — partition-arena tests, the word-indexed closure
+#   5. asan              — partition-arena tests, the word-indexed closure
 #                          bitset matrix (closure + canonical-cover tests),
 #                          the wire-framing negative/fuzz-ish suite (incl.
 #                          the query payload negatives), the query lattice,
 #                          the prefix-shared rank pass, the sampler's
 #                          row-major code copy, the encoder, the input-width
-#                          negatives, and the net server round-trips + trace
-#                          propagation under ASan
-#   7. ubsan             — bit-twiddling kernels under UBSan (non-recoverable)
-#   8. thread-safety     — Clang Thread Safety Analysis as errors over src/,
+#                          negatives, the hostile-CSV corpus, and the net
+#                          server round-trips + trace propagation under ASan
+#   6. ubsan             — bit-twiddling kernels and the hostile-CSV corpus
+#                          under UBSan (non-recoverable)
+#   7. thread-safety     — Clang Thread Safety Analysis as errors over src/,
 #                          plus a seeded mis-annotation that must FAIL to
 #                          compile (skipped with a notice when clang++ is not
 #                          installed; the annotations compile to nothing off
 #                          Clang, so the tree itself is unaffected)
-#   9. obs               — --trace export produces valid Chrome trace JSON
-#  10. tidy (opt-in)     — ./ci.sh --tidy runs clang-tidy over src/ via the
+#   8. obs               — --trace export produces valid Chrome trace JSON
+#   9. tidy (opt-in)     — ./ci.sh --tidy runs clang-tidy over src/ via the
 #                          compile database (needs clang-tidy installed)
 #
 # Usage: ./ci.sh [jobs] [--tidy]
@@ -43,17 +44,12 @@ for arg in "$@"; do
   esac
 done
 
-echo "=== invariant lint: rule self-test + repo sweep ==="
-python3 tools/check_invariants.py --self-test
-python3 tools/check_invariants.py --root .
-
-echo
-echo "=== analyze: layering + obs schema + exhaustiveness ==="
+echo "=== analyze: layering + obs schema + exhaustiveness + conventions ==="
 python3 tools/analyze/analyze.py --self-test
 python3 tools/analyze/analyze.py --root .
 # Negative control: a seeded mis-architecture (layer inversion, unregistered
-# counter, non-exhaustive switch — one per pass) must make the analyzer exit
-# nonzero, proving each pass bites.
+# counter, non-exhaustive switch, raw std::thread — one per pass) must make
+# the analyzer exit nonzero, proving each pass bites.
 if python3 tools/analyze/analyze.py \
      --root tools/analyze/fixtures/seeded \
      --config tools/analyze/fixtures/seeded > /dev/null 2>&1; then
@@ -114,10 +110,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_server_test
 # cost_ledger_test covers the thread-local sink install/forward/restore.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_http_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/cost_ledger_test
-# parallel_discovery_test runs the sharded DHyFD/HyFD validators and the
-# lock-sharded partition cache under real concurrency: the parallel ==
-# sequential cover equivalence is asserted here with TSan watching the
-# help-first shard claims, the obs-delta relay, and cache pin lifetimes. The
+# parallel_discovery_test runs the sharded DHyFD/HyFD validators under real
+# concurrency: the parallel == sequential cover equivalence is asserted here
+# with TSan watching the help-first shard claims and the obs-delta relay. The
 # per-column encoder, the sampler's in-shard dedupe against the shared seen
 # set, and the rank shards' atomic cell marks are checked the same way.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_discovery_test
@@ -132,7 +127,7 @@ cmake --build build-asan -j "$JOBS" --target \
   partition_test partition_cache_test partition_intersect_test \
   closure_test cover_test sampler_test encoder_test \
   net_wire_test query_test redundancy_test robustness_test live_profile_test \
-  net_server_test trace_propagation_test
+  hostile_input_test net_server_test trace_propagation_test
 ./build-asan/tests/partition_test
 ./build-asan/tests/partition_cache_test
 ./build-asan/tests/partition_intersect_test
@@ -163,6 +158,10 @@ cmake --build build-asan -j "$JOBS" --target \
 ./build-asan/tests/redundancy_test
 ./build-asan/tests/robustness_test
 ./build-asan/tests/live_profile_test
+# Hostile CSV uploads (NUL bytes, unterminated quotes, ragged rows, 300
+# columns, an 8 MB cell) through the parser, the profiler and both
+# register_dataset paths, at every prefix of each input.
+./build-asan/tests/hostile_input_test
 # The server's ops-pool runner moves each request's captured state onto a
 # pool thread and its answer back to the loop; the last use-after-free in
 # the server was remote-triggerable, so the full round-trip suite (every
@@ -178,7 +177,7 @@ echo "=== ubsan: bit-twiddling kernels under UBSan (no recovery) ==="
 cmake -B build-ubsan -S . -DDHYFD_SANITIZE=undefined -DDHYFD_WERROR=ON
 cmake --build build-ubsan -j "$JOBS" --target \
   attribute_set_test partition_test partition_intersect_test \
-  closure_test ranking_test query_topk_property_test
+  closure_test ranking_test query_topk_property_test hostile_input_test
 ./build-ubsan/tests/attribute_set_test
 ./build-ubsan/tests/partition_test
 ./build-ubsan/tests/partition_intersect_test
@@ -187,6 +186,9 @@ cmake --build build-ubsan -j "$JOBS" --target \
 # The top-k oracle sweep exercises the score accumulation and the removal
 # budget floor() edge where an overflow or bad cast would skew the rank.
 ./build-ubsan/tests/query_topk_property_test
+# Width and length arithmetic on hostile CSV inputs (300 columns, 8 MB
+# cells, ragged rows) is where a signed overflow or bad cast would hide.
+./build-ubsan/tests/hostile_input_test
 
 echo
 echo "=== thread-safety: Clang TSA over src/ (-Werror=thread-safety) ==="

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "algo/hitting_set.h"
-#include "partition/partition_cache.h"
+#include "partition/partition_memo.h"
 #include "util/deadline.h"
 #include "util/memory.h"
 #include "util/timer.h"
@@ -13,12 +13,12 @@ namespace dhyfd {
 namespace {
 
 // Greedily grows a non-dependency X (X !-> a) to a maximal one.
-AttributeSet MaximizeNonDep(PartitionCache& cache, AttributeSet x, AttrId a,
+AttributeSet MaximizeNonDep(PartitionMemo& memo, AttributeSet x, AttrId a,
                             const AttributeSet& rest) {
   (rest - x).for_each([&](AttrId b) {
     AttributeSet bigger = x;
     bigger.set(b);
-    if (!cache.implies(bigger, a)) x = bigger;
+    if (!memo.implies(bigger, a)) x = bigger;
   });
   return x;
 }
@@ -31,7 +31,7 @@ DiscoveryResult Dfd::discover(const Relation& r) {
   Deadline deadline(time_limit_seconds_);
   DiscoveryResult result;
   const int m = r.num_cols();
-  PartitionCache cache(r);
+  PartitionMemo memo(r);
 
   for (AttrId a = 0; a < m && !result.stats.timed_out; ++a) {
     if (deadline.expired()) {
@@ -41,12 +41,12 @@ DiscoveryResult Dfd::discover(const Relation& r) {
     AttributeSet rest = AttributeSet::full(m);
     rest.reset(a);
     ++result.stats.validations;
-    if (cache.implies(AttributeSet(), a)) {
+    if (memo.implies(AttributeSet(), a)) {
       result.fds.add(Fd(AttributeSet(), a));
       continue;
     }
     ++result.stats.validations;
-    if (!cache.implies(rest, a)) {
+    if (!memo.implies(rest, a)) {
       // Even all other attributes fail to determine a (a pair differs only
       // on a): no FD with RHS a exists.
       ++result.stats.invalidated;
@@ -79,11 +79,11 @@ DiscoveryResult Dfd::discover(const Relation& r) {
         }
         if (known) continue;
         ++result.stats.validations;
-        if (cache.implies(x, a)) {
+        if (memo.implies(x, a)) {
           min_deps.push_back(x);
         } else {
           ++result.stats.invalidated;
-          max_nondeps.push_back(MaximizeNonDep(cache, x, a, rest));
+          max_nondeps.push_back(MaximizeNonDep(memo, x, a, rest));
           progressing = true;
         }
       }
@@ -92,7 +92,7 @@ DiscoveryResult Dfd::discover(const Relation& r) {
     mem.sample();
   }
 
-  result.stats.refinements = cache.partitions_built();
+  result.stats.refinements = memo.partitions_built();
   result.fds.sort();
   result.stats.seconds = timer.seconds();
   result.stats.memory_mb = mem.delta_peak_mb();

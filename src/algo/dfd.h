@@ -12,7 +12,7 @@ namespace dhyfd {
 /// until they meet: candidate LHSs are the minimal transversals of the
 /// known maximal non-dependencies' complements ("dualize and advance" — the
 /// deterministic skeleton DFD's random walks approximate); each candidate
-/// is validated against a cached stripped partition, and failures are
+/// is validated against a memoized stripped partition, and failures are
 /// greedily maximized into new maximal non-dependencies.
 class Dfd : public FdDiscovery {
  public:

@@ -16,7 +16,7 @@ LiveProfile::LiveProfile(const RawTable& initial, LiveProfileOptions options,
                          NullSemantics semantics)
     : options_(options), rel_(initial, semantics) {
   full_discover(nullptr);
-  if (options_.maintain_ranking) full_rerank();
+  full_rerank();
 }
 
 void LiveProfile::full_discover(BatchStats* stats) {
@@ -158,7 +158,7 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
     ++rebuild_count_;
     stats.rebuilt = true;
     stats.rebuild_reason = reason;
-    if (options_.maintain_ranking) full_rerank();
+    full_rerank();
   } else {
     const Relation& r = rel_.relation();
     std::unordered_set<AttributeSet, AttributeSetHash> violated;
@@ -191,7 +191,7 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
         RowId t = rel_.insert_row(cells);
         ++stats.rows_inserted;
         scan_partners(t, &violated);
-        if (options_.maintain_ranking) touched_profiles.push_back(nonunique_attrs(t));
+        touched_profiles.push_back(nonunique_attrs(t));
       }
       AttributeSet root = tree_->root()->rhs;
       root.for_each([&](AttrId a) {
@@ -222,7 +222,7 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
         ++stats.unknown_deletes;
         continue;
       }
-      if (options_.maintain_ranking) touched_profiles.push_back(nonunique_attrs(d));
+      touched_profiles.push_back(nonunique_attrs(d));
       scan_partners(d, &destroyed);
       rel_.erase_row(d);
       ++stats.rows_deleted;
@@ -291,7 +291,7 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
       rebuild_tree_from_cover();
     }
     refresh_cover();
-    if (options_.maintain_ranking) {
+    {
       TraceSpan rerank_span(kObsIncrRerank);
       rerank_dirty(touched_profiles, old_cover.minus(cover_), &stats);
     }
@@ -315,7 +315,7 @@ void LiveProfile::force_rebuild() {
   rel_.compact();
   full_discover(nullptr);
   ++rebuild_count_;
-  if (options_.maintain_ranking) full_rerank();
+  full_rerank();
 }
 
 FdRedundancy LiveProfile::compute_live_redundancy(const Fd& fd) {
@@ -378,7 +378,7 @@ const std::vector<FdRedundancy>& LiveProfile::ranking() const {
       auto it = redundancy_.find(fd);
       if (it != redundancy_.end()) ranking_.push_back(it->second);
     }
-    ranking_ = SortByRedundancy(std::move(ranking_), options_.ranking_mode);
+    ranking_ = SortByRedundancy(std::move(ranking_), RedundancyMode::kExcludingNullRhs);
     ranking_sorted_ = true;
   }
   return ranking_;

@@ -28,10 +28,6 @@ struct LiveProfileOptions {
   /// Disable both triggers (force_rebuild() still works); the equivalence
   /// property tests run pure-incremental with this off.
   bool auto_rebuild = true;
-  /// Maintain per-FD redundancy ranking across batches (Section VI),
-  /// recomputing only FDs whose LHS clusters a batch actually touched.
-  bool maintain_ranking = true;
-  RedundancyMode ranking_mode = RedundancyMode::kExcludingNullRhs;
 };
 
 /// Work accounting for one applied batch; feeds the service's per-batch
@@ -99,8 +95,9 @@ class LiveProfile {
   /// The maintained left-reduced cover (singleton RHSs, sorted).
   const FdSet& cover() const { return cover_; }
 
-  /// Cover FDs with redundancy counts, sorted descending by the configured
-  /// mode (empty unless options.maintain_ranking).
+  /// Cover FDs with redundancy counts (Section VI), sorted descending with
+  /// null-RHS redundancy excluded. A batch recomputes only the FDs whose
+  /// LHS clusters it touched.
   const std::vector<FdRedundancy>& ranking() const;
 
   CoverDelta apply(const UpdateBatch& batch, ApplyMode mode = ApplyMode::kIncremental);

@@ -115,7 +115,7 @@ class LiveRelation {
   // data (those are CSR StrippedPartitions); this is the mutable insert/
   // delete index, where per-group splice cost dominates and a flat arena
   // would force whole-column rewrites per batch.
-  std::vector<std::vector<std::vector<RowId>>> groups_;  // lint-allow: nested-rowid
+  std::vector<std::vector<std::vector<RowId>>> groups_;  // analyze-allow: nested-rowid
   std::vector<int64_t> supports_;
   std::vector<int64_t> distinct_;
   std::vector<uint8_t> live_;

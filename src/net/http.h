@@ -11,8 +11,8 @@ namespace dhyfd::net {
 /// observability endpoint. This is deliberately not a web server: requests
 /// are GET-only, bodies are ignored, headers are bounded and skipped, and
 /// every response closes the connection. All HTTP parsing in the repo lives
-/// here (tools/check_invariants.py forbids it elsewhere), so the accepted
-/// grammar stays auditable in one file.
+/// here (tools/analyze/analyze.py `naked-http` forbids it elsewhere), so the
+/// accepted grammar stays auditable in one file.
 
 /// One parsed request line. Headers are deliberately dropped: no route
 /// reads them, so retaining them would only grow the attack surface.

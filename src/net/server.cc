@@ -155,8 +155,8 @@ void ProfilingServer::start() {
     });
   }
   // The event loop owns its thread for its whole lifetime; pool workers
-  // are for bounded tasks.  // lint-allow: naked-thread
-  loop_thread_ = std::thread([this] { loop(); });  // lint-allow: naked-thread
+  // are for bounded tasks.  // analyze-allow: naked-thread
+  loop_thread_ = std::thread([this] { loop(); });  // analyze-allow: naked-thread
 }
 
 void ProfilingServer::shutdown() {

@@ -363,7 +363,7 @@ class ProfilingServer {
   /// Blocking service calls (CSV parse/encode, initial live discovery,
   /// ranking snapshots) run here so the event loop never waits on them.
   ThreadPool ops_pool_;
-  std::thread loop_thread_;  // lint-allow: naked-thread (event loop)
+  std::thread loop_thread_;  // analyze-allow: naked-thread (event loop)
   std::chrono::steady_clock::time_point epoch_;
 
   // Loop-thread-only state (no locks: single owner).

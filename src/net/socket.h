@@ -10,7 +10,7 @@ namespace dhyfd::net {
 
 /// Thin RAII + error-mapping layer over POSIX sockets. This file and
 /// socket.cc are the only places in the tree allowed to touch socket
-/// syscalls (tools/check_invariants.py `naked-socket` rule): everything
+/// syscalls (tools/analyze/analyze.py `naked-socket` rule): everything
 /// above it speaks in Socket/Poller terms, so the fd lifecycle and the
 /// EINTR/EAGAIN/SIGPIPE edge cases are handled exactly once.
 

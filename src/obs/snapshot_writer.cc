@@ -13,8 +13,8 @@ SnapshotWriter::SnapshotWriter(MetricsRegistry* metrics, std::string path,
       path_(std::move(path)),
       interval_seconds_(std::max(interval_seconds, 0.01)) {
   // A periodic background writer, not pool work: it sleeps most of its
-  // life and must survive pool saturation.  // lint-allow: naked-thread
-  thread_ = std::thread([this] { loop(); });  // lint-allow: naked-thread
+  // life and must survive pool saturation.  // analyze-allow: naked-thread
+  thread_ = std::thread([this] { loop(); });  // analyze-allow: naked-thread
 }
 
 SnapshotWriter::~SnapshotWriter() { stop(); }

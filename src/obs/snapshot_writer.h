@@ -44,7 +44,7 @@ class SnapshotWriter {
   bool stopping_ DHYFD_GUARDED_BY(mu_) = false;
   bool joined_ DHYFD_GUARDED_BY(mu_) = false;
   std::int64_t snapshots_written_ DHYFD_GUARDED_BY(mu_) = 0;
-  std::thread thread_;  // lint-allow: naked-thread (periodic writer)
+  std::thread thread_;  // analyze-allow: naked-thread (periodic writer)
 };
 
 }  // namespace dhyfd

@@ -116,7 +116,7 @@ std::shared_ptr<LiveStore::Entry> LiveStore::find(const std::string& name) const
 UpdateJobHandlePtr LiveStore::failed_handle(std::uint64_t id, UpdateJob job,
                                             std::string error) {
   UpdateJobHandlePtr h(new UpdateJobHandle(id, std::move(job.dataset),
-                                           std::move(job.batch), job.mode));
+                                           std::move(job.batch)));
   // The handle has not escaped yet, but taking its lock keeps the write
   // provable instead of "safe by publication order".
   MutexLock lock(&h->mu_);
@@ -143,7 +143,7 @@ UpdateJobHandlePtr LiveStore::submit(UpdateJob job) {
   }
 
   UpdateJobHandlePtr h(new UpdateJobHandle(id, std::move(job.dataset),
-                                           std::move(job.batch), job.mode));
+                                           std::move(job.batch)));
   Tracer& tracer = Tracer::Global();
   if (job.trace_id != 0) {
     // Adopt the caller's (e.g. a client-stamped request's) trace id so this
@@ -225,7 +225,7 @@ void LiveStore::run_job(const std::shared_ptr<Entry>& entry,
     TraceSpan batch_span(kObsIncrBatch);
     MutexLock lock(&entry->profile_mu);
     try {
-      delta = entry->profile->apply(h->batch_, h->mode_);
+      delta = entry->profile->apply(h->batch_);
     } catch (const std::exception& e) {
       error = e.what();
       invalid_batch = dynamic_cast<const std::invalid_argument*>(&e) != nullptr;
@@ -289,9 +289,8 @@ void LiveStore::notify(const CoverChangeEvent& event) {
   for (const auto& fn : listeners) fn(event);
 }
 
-CoverDelta LiveStore::apply(const std::string& name, UpdateBatch batch,
-                            ApplyMode mode) {
-  UpdateJobHandlePtr h = submit({name, std::move(batch), mode});
+CoverDelta LiveStore::apply(const std::string& name, UpdateBatch batch) {
+  UpdateJobHandlePtr h = submit({name, std::move(batch)});
   return h->delta();  // throws on failure
 }
 

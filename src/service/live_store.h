@@ -29,8 +29,6 @@ struct LiveDatasetOptions {
 struct UpdateJob {
   std::string dataset;
   UpdateBatch batch;
-  /// Forces a compact + full re-discovery for this batch.
-  ApplyMode mode = ApplyMode::kIncremental;
   /// Trace id to adopt for this batch's span tree (0 = mint one when tracing
   /// is on). Set by the net server from the client-stamped trace context.
   std::uint64_t trace_id = 0;
@@ -69,9 +67,8 @@ class UpdateJobHandle {
  private:
   friend class LiveStore;
 
-  UpdateJobHandle(std::uint64_t id, std::string dataset, UpdateBatch batch,
-                  ApplyMode mode)
-      : id_(id), dataset_(std::move(dataset)), batch_(std::move(batch)), mode_(mode) {}
+  UpdateJobHandle(std::uint64_t id, std::string dataset, UpdateBatch batch)
+      : id_(id), dataset_(std::move(dataset)), batch_(std::move(batch)) {}
 
   /// True for kDone / kFailed.
   bool terminal_locked() const DHYFD_REQUIRES(mu_) {
@@ -81,7 +78,6 @@ class UpdateJobHandle {
   const std::uint64_t id_;
   const std::string dataset_;
   UpdateBatch batch_;
-  ApplyMode mode_;
   // Set once by LiveStore::submit() before the handle is shared; read-only
   // afterwards.
   std::uint64_t trace_id_ = 0;
@@ -147,8 +143,7 @@ class LiveStore {
 
   /// Synchronous convenience: submit + wait + return the delta (throws on
   /// failure).
-  CoverDelta apply(const std::string& name, UpdateBatch batch,
-                   ApplyMode mode = ApplyMode::kIncremental);
+  CoverDelta apply(const std::string& name, UpdateBatch batch);
 
   /// Copies of the current cover / ranking / live row count; throw
   /// std::invalid_argument for unknown datasets.

@@ -10,7 +10,8 @@
 namespace dhyfd {
 
 /// Annotated wrapper over std::mutex — the only mutex type the repo uses
-/// (tools/check_invariants.py rejects naked std::mutex outside this file).
+/// (tools/analyze/analyze.py `naked-mutex` rejects naked std::mutex outside
+/// this file).
 /// Under Clang with -DDHYFD_THREAD_SAFETY=ON, mismatched lock/unlock and
 /// unguarded access to DHYFD_GUARDED_BY members are compile errors.
 class DHYFD_LOCKABLE Mutex {

@@ -59,10 +59,10 @@ TEST(DfdTest, EmptyAndTinyRelations) {
   EXPECT_EQ(res1.fds.size(), 2);
 }
 
-TEST(DfdTest, UsesPartitionCache) {
+TEST(DfdTest, CountsMemoizedPartitionBuilds) {
   Relation r = RandomRelation(91, 100, 6, 3);
   DiscoveryResult res = Dfd().discover(r);
-  EXPECT_GT(res.stats.refinements, 0);  // partitions built through the cache
+  EXPECT_GT(res.stats.refinements, 0);  // partitions built through the memo
   EXPECT_GT(res.stats.validations, 0);
 }
 

@@ -260,7 +260,7 @@ TEST(ObsSessionTest, WritesTraceAndMetricsFilesOnDestruction) {
 
 // The layer.noun[_verb] grammar from DESIGN.md "Observability": dotted
 // lowercase, >= 2 segments, first segment = owning subsystem. Mirrors
-// OBS_NAME_RE in tools/analyze/obs_grammar.py.
+// OBS_NAME_RE in tools/analyze/analyze.py.
 bool FollowsObsGrammar(std::string_view name) {
   auto segment_char = [](char c) {
     return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';

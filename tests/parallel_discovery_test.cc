@@ -4,8 +4,7 @@
 // cross-algorithm property tests use — including the approximate (epsilon >
 // 0), arity-bounded, and query-engine paths. The per-column encoder, the
 // sharded rank pass, the sampler and the whole Profiler pipeline get the
-// same treatment. Also hammers the lock-sharded PartitionCache with
-// concurrent readers; this binary runs under the TSan CI leg, so the
+// same treatment. This binary runs under the TSan CI leg, so the
 // determinism claims are checked race-free, not just equal.
 #include <gtest/gtest.h>
 
@@ -23,7 +22,6 @@
 #include "core/profiler.h"
 #include "datagen/benchmark_data.h"
 #include "fd/cover.h"
-#include "partition/partition_cache.h"
 #include "query/engine.h"
 #include "ranking/redundancy.h"
 #include "relation/encoder.h"
@@ -402,75 +400,6 @@ TEST(ParallelProfileTest, ReportIdenticalAtAnyDegree) {
     EXPECT_EQ(sequential.discovery.stats.validations, parallel.discovery.stats.validations)
         << name;
   }
-}
-
-// ------------------------------------------------- concurrent cache readers
-
-TEST(ConcurrentPartitionCacheTest, ParallelImpliesMatchesSequential) {
-  Relation r = RandomRelation(13, 150, 6, 3, 0.1);
-  // Deterministic query mix: every 2-attribute LHS against every RHS.
-  std::vector<std::pair<AttributeSet, AttrId>> queries;
-  for (AttrId a = 0; a < 6; ++a) {
-    for (AttrId b = 0; b < 6; ++b) {
-      if (a == b) continue;
-      AttributeSet x;
-      x.set(a);
-      x.set(b);
-      for (AttrId rhs = 0; rhs < 6; ++rhs) {
-        if (!x.test(rhs)) queries.emplace_back(x, rhs);
-      }
-    }
-  }
-  std::vector<char> expected(queries.size());
-  {
-    PartitionCache baseline(r);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      expected[i] = baseline.implies(queries[i].first, queries[i].second);
-    }
-  }
-  // A tiny budget forces eviction churn while readers race; answers must
-  // not change (evicted partitions are rebuilt, never corrupted).
-  PartitionCache cache(r, /*max_entries=*/16, /*max_bytes=*/1 << 14);
-  ThreadPool pool(4);
-  std::vector<char> got(queries.size());
-  pool.parallel_for(queries.size(), 4,
-                    [&](std::size_t, std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        got[i] = cache.implies(queries[i].first,
-                                               queries[i].second);
-                      }
-                    });
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "query " << i;
-  }
-  EXPECT_GT(cache.evictions(), 0);
-}
-
-TEST(ConcurrentPartitionCacheTest, PinsSurviveEvictionUnderConcurrency) {
-  Relation r = RandomRelation(17, 100, 6, 2, 0.0);
-  PartitionCache cache(r, /*max_entries=*/4, /*max_bytes=*/1 << 12);
-  AttributeSet pinned_set;
-  pinned_set.set(0);
-  pinned_set.set(1);
-  PartitionPin pin = cache.get(pinned_set);
-  const int64_t support_before = pin->support();
-  const int64_t clusters_before = pin->size();
-
-  // Concurrently churn the cache far past its budget.
-  ThreadPool pool(4);
-  pool.parallel_for(64, 4, [&](std::size_t, std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      AttributeSet x;
-      x.set(static_cast<AttrId>(i % 6));
-      x.set(static_cast<AttrId>((i / 6 + 1 + i % 5) % 6));
-      if (x.count() < 2) x.set(static_cast<AttrId>((i + 3) % 6));
-      cache.get(x);
-    }
-  });
-  EXPECT_GT(cache.evictions(), 0);
-  // The pin still reads the same immutable partition, evicted or not.
-  EXPECT_EQ(pin->support(), support_before);
-  EXPECT_EQ(pin->size(), clusters_before);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
-#include "partition/partition_cache.h"
+#include "partition/partition_memo.h"
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "test_util.h"
 
@@ -10,60 +13,82 @@ namespace {
 using testutil::FromValues;
 using testutil::RandomRelation;
 
-TEST(PartitionCacheTest, MatchesDirectBuild) {
+TEST(PartitionMemoTest, MatchesDirectBuild) {
   Relation r = RandomRelation(3, 120, 5, 3);
-  PartitionCache cache(r);
+  PartitionMemo memo(r);
   for (AttributeSet x : {AttributeSet{0}, AttributeSet{1, 3}, AttributeSet{0, 2, 4}}) {
-    StrippedPartition cached = *cache.get(x);
+    StrippedPartition memoized = memo.get(x);
     StrippedPartition direct = BuildPartition(r, x);
-    cached.normalize();
+    memoized.normalize();
     direct.normalize();
-    EXPECT_EQ(cached.to_string(), direct.to_string()) << x.to_string();
+    EXPECT_EQ(memoized.to_string(), direct.to_string()) << x.to_string();
   }
 }
 
-TEST(PartitionCacheTest, PrefixesAreReused) {
+TEST(PartitionMemoTest, PrefixesAreReused) {
   Relation r = RandomRelation(5, 100, 5, 3);
-  PartitionCache cache(r);
-  cache.get(AttributeSet{0, 1, 2});
-  int64_t built = cache.partitions_built();
-  // {0,1} is a prefix of {0,1,2}: already cached, nothing new to build.
-  cache.get(AttributeSet{0, 1});
-  EXPECT_EQ(cache.partitions_built(), built);
+  PartitionMemo memo(r);
+  memo.get(AttributeSet{0, 1, 2});
+  int64_t built = memo.partitions_built();
+  // {0,1} is a prefix of {0,1,2}: already memoized, nothing new to build.
+  memo.get(AttributeSet{0, 1});
+  EXPECT_EQ(memo.partitions_built(), built);
   // {0,1,3} shares the {0,1} prefix: exactly one new refinement.
-  cache.get(AttributeSet{0, 1, 3});
-  EXPECT_EQ(cache.partitions_built(), built + 1);
+  memo.get(AttributeSet{0, 1, 3});
+  EXPECT_EQ(memo.partitions_built(), built + 1);
 }
 
-TEST(PartitionCacheTest, ImpliesMatchesSatisfies) {
+TEST(PartitionMemoTest, ImpliesMatchesSatisfies) {
   Relation r = RandomRelation(7, 90, 4, 3);
-  PartitionCache cache(r);
+  PartitionMemo memo(r);
   for (AttrId a = 0; a < 4; ++a) {
     for (AttrId b = 0; b < 4; ++b) {
       if (a == b) continue;
-      EXPECT_EQ(cache.implies(AttributeSet::single(b), a),
+      EXPECT_EQ(memo.implies(AttributeSet::single(b), a),
                 r.satisfies(AttributeSet::single(b), a))
           << b << "->" << a;
     }
   }
 }
 
-TEST(PartitionCacheTest, EmptyLhsConstantCheck) {
+TEST(PartitionMemoTest, EmptyLhsConstantCheck) {
   Relation r = FromValues({{7, 0}, {7, 1}});
-  PartitionCache cache(r);
-  EXPECT_TRUE(cache.implies(AttributeSet(), 0));
-  EXPECT_FALSE(cache.implies(AttributeSet(), 1));
+  PartitionMemo memo(r);
+  EXPECT_TRUE(memo.implies(AttributeSet(), 0));
+  EXPECT_FALSE(memo.implies(AttributeSet(), 1));
 }
 
-TEST(PartitionCacheTest, EvictionKeepsCorrectness) {
+TEST(PartitionMemoTest, EvictionKeepsCorrectness) {
   Relation r = RandomRelation(11, 80, 6, 3);
-  PartitionCache cache(r, /*max_entries=*/2);
+  PartitionMemo memo(r, /*max_entries=*/2);
   for (int round = 0; round < 3; ++round) {
-    PartitionPin p = cache.get(AttributeSet{1, 4});
+    const int64_t support = memo.get(AttributeSet{1, 4}).support();
     StrippedPartition direct = BuildPartition(r, AttributeSet{1, 4});
-    EXPECT_EQ(p->support(), direct.support());
-    cache.get(AttributeSet{0, 2});  // force churn
+    EXPECT_EQ(support, direct.support());
+    memo.get(AttributeSet{0, 2});  // force churn
   }
+}
+
+TEST(PartitionMemoTest, TightByteBudgetImpliesMatchesSatisfies) {
+  // 400 rows make a partition a few KB, so 16 KB holds fewer than 16
+  // entries and the byte budget, not the entry budget, does the evicting.
+  Relation r = RandomRelation(13, 400, 6, 3, 0.1);
+  // Every 2-attribute LHS against every RHS outside it.
+  PartitionMemo memo(r, /*max_entries=*/16, /*max_bytes=*/1 << 14);
+  PartitionMemo entries_only(r, /*max_entries=*/16);
+  for (AttrId a = 0; a < 6; ++a) {
+    for (AttrId b = 0; b < 6; ++b) {
+      if (a == b) continue;
+      AttributeSet x{a, b};
+      for (AttrId rhs = 0; rhs < 6; ++rhs) {
+        if (x.test(rhs)) continue;
+        EXPECT_EQ(memo.implies(x, rhs), r.satisfies(x, rhs))
+            << x.to_string() << "->" << rhs;
+        entries_only.implies(x, rhs);
+      }
+    }
+  }
+  EXPECT_GT(memo.partitions_built(), entries_only.partitions_built());
 }
 
 }  // namespace

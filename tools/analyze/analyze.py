@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Multi-pass, compiler-free static analyzer for repo architecture.
+"""Multi-pass, compiler-free static analyzer for repo architecture and
+conventions.
 
-Where tools/check_invariants.py lints one file at a time with regexes, this
-tool tokenizes every C++ source under src/ and checks *structural* facts
-that only exist across files:
+It tokenizes every C++ source under src/, bench/, tests/ and examples/ and
+checks facts the type system cannot express, both structural ones that
+only exist across files and per-file conventions:
 
   Pass 1 — layering.  The #include graph over src/ is checked against the
       declared layer DAG (tools/analyze/layers.json): every edge must go to
@@ -22,10 +23,9 @@ that only exist across files:
       manifest renders (--fix regenerates it), that every name literal at an
       obs call site is registered, that every registered name is actually
       referenced somewhere (drift: a typo'd counter can no longer silently
-      fork a series), that manifest names obey the layer.noun[_verb] grammar
-      (shared with check_invariants.py via obs_grammar.py), and that
-      subsystem prefix rules (net., query.) hold for schema-constant
-      references, which the string-literal linter cannot see.
+      fork a series), that manifest names obey the layer.noun[_verb]
+      grammar, and that subsystem prefix rules (net., query.) hold for both
+      literals and schema-constant references.
 
   Pass 3 — codec exhaustiveness.  For the enums named in layers.json
       ("exhaustive_enums": wire MessageType/ErrCode/StreamEndReason, job
@@ -34,8 +34,15 @@ that only exist across files:
       adding a frame type without confronting every codec and dispatch
       switch fails this gate instead of becoming a runtime protocol error.
 
+  Pass 4 — conventions.  Per-file rules over code tokens, so comments
+      never match: nested-rowid, naked-mutex, header-guard, nondeterminism,
+      rpc-obs-prefix, naked-http, naked-socket and naked-thread. Each rule
+      sweeps its own trees and exempts its home files (CONVENTION_RULES;
+      the table in DESIGN.md "Architecture conformance" gives the reasons).
+
 Suppress one occurrence with `// analyze-allow: <rule>` on the offending
-line (rules: layering, include-cycle, obs-schema, exhaustive).
+line (rules: layering, include-cycle, obs-schema, exhaustive, and the pass 4
+rule names above), with a comment giving the reason.
 
 Usage:
   analyze.py [--root DIR] [--config DIR]   run all passes (exit 1 on findings)
@@ -45,19 +52,32 @@ Usage:
 """
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
-
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from obs_grammar import OBS_NAME_RE, required_prefix  # noqa: E402
 
 SOURCE_EXTS = (".h", ".cc", ".cpp")
 GEN_HEADER_REL = os.path.join("src", "obs", "obs_schema.gen.h")
 DOT_NAME = "include_graph.dot"
 
 SUPPRESS_RE = re.compile(r"//\s*analyze-allow:\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)")
+
+# A legal obs name (DESIGN.md "Observability"): dotted lowercase, >= 2
+# segments, layer.noun[_verb], first segment = owning subsystem.
+OBS_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
+
+# Directory -> mandatory first segment for obs names used there, so each
+# subsystem's telemetry stays greppable and dashboard-stable.
+PREFIX_RULES = {"src/net/": "net.", "src/query/": "query."}
+
+
+def required_prefix(path):
+    """The name prefix obs names in `path` must carry, or None."""
+    return next((prefix for directory, prefix in PREFIX_RULES.items()
+                 if path.startswith(directory)), None)
+
 
 # ------------------------------------------------------------------ tokenizer
 
@@ -89,6 +109,8 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, {self.line})"
 
 
+# Memoized: every pass lexes each file once per run. Do not mutate the result.
+@functools.lru_cache(maxsize=None)
 def tokenize(text):
     """Lexes C++ source into (kind, text, line) tokens, dropping whitespace
     and comments. Strings keep their quotes; use str_value() for content."""
@@ -404,8 +426,8 @@ def validate_manifest(manifest):
             findings.append(
                 Finding(loc, 1, "obs-schema",
                         f"schema name {name!r} violates the layer.noun[_verb] "
-                        "grammar (obs_grammar.py, shared with "
-                        "check_invariants.py)"))
+                        "grammar (dotted lowercase, first segment = "
+                        "subsystem; see DESIGN.md)"))
         if entry.get("kind") not in kinds:
             findings.append(
                 Finding(loc, 1, "obs-schema",
@@ -568,41 +590,53 @@ def scan_obs_usages(tree):
         norm = path.replace(os.sep, "/")
         if not norm.startswith("src/") or norm == gen_rel:
             continue
-        tokens = tokenize(tree[path])
-        # Kind implied for a kObs constant passed as a call's first argument,
-        # keyed by that argument's token index (the sweep reaches it later).
-        arg_kinds = {}
-        for i, tok in enumerate(tokens):
-            if tok.kind == "string":
-                all_strings.add(str_value(tok))
-            if tok.kind != "ident":
-                continue
-            if tok.text.startswith("kObs"):
-                constants.append((path, tok.line, arg_kinds.get(i), tok.text))
-                continue
-            kind = OBS_SCAN_IDENTS.get(tok.text)
-            if kind is None:
-                continue
-            j = i + 1
-            if (tok.text == "TraceSpan" and j < len(tokens)
-                    and tokens[j].kind == "ident"):
-                j += 1  # declarator: TraceSpan span("...")
-            if j >= len(tokens):
-                continue
-            opener = "{" if tok.text == "TraceEvent" else "("
-            if tokens[j].text != opener:
-                continue
-            j += 1
-            if j >= len(tokens):
-                continue
-            arg = tokens[j]
-            if arg.kind == "string":
-                literals.append((path, arg.line, kind, str_value(arg)))
-            elif arg.kind == "ident" and arg.text.startswith("kObs"):
-                # Tag the argument's index so the kObs sweep records the
-                # same kind check literals get when it reaches that token.
-                arg_kinds[j] = kind
+        lits, consts, strings = scan_obs_tokens(tokenize(tree[path]))
+        literals.extend((path,) + u for u in lits)
+        constants.extend((path,) + u for u in consts)
+        all_strings |= strings
     return literals, constants, all_strings
+
+
+def scan_obs_tokens(tokens):
+    """One file's ([(line, kind, name)], [(line, kind_or_None, const)],
+    strings) for scan_obs_usages()."""
+    literals = []
+    constants = []
+    strings = set()
+    # Kind implied for a kObs constant passed as a call's first argument,
+    # keyed by that argument's token index (the sweep reaches it later).
+    arg_kinds = {}
+    for i, tok in enumerate(tokens):
+        if tok.kind == "string":
+            strings.add(str_value(tok))
+        if tok.kind != "ident":
+            continue
+        if tok.text.startswith("kObs"):
+            constants.append((tok.line, arg_kinds.get(i), tok.text))
+            continue
+        kind = OBS_SCAN_IDENTS.get(tok.text)
+        if kind is None:
+            continue
+        j = i + 1
+        if (tok.text == "TraceSpan" and j < len(tokens)
+                and tokens[j].kind == "ident"):
+            j += 1  # declarator: TraceSpan span("...")
+        if j >= len(tokens):
+            continue
+        opener = "{" if tok.text == "TraceEvent" else "("
+        if tokens[j].text != opener:
+            continue
+        j += 1
+        if j >= len(tokens):
+            continue
+        arg = tokens[j]
+        if arg.kind == "string":
+            literals.append((arg.line, kind, str_value(arg)))
+        elif arg.kind == "ident" and arg.text.startswith("kObs"):
+            # Tag the argument's index so the kObs sweep records the
+            # same kind check literals get when it reaches that token.
+            arg_kinds[j] = kind
+    return literals, constants, strings
 
 
 def pass_schema(tree, manifest, disk_header, disk_header_path=GEN_HEADER_REL):
@@ -656,11 +690,8 @@ def pass_schema(tree, manifest, disk_header, disk_header_path=GEN_HEADER_REL):
         if prefix and not name.startswith(prefix):
             findings.append(
                 Finding(path, line, "obs-schema",
-                        f'obs name "{name}" used under {path.split("/")[1]}/'
-                        f'{path.split("/")[1]} must start with "{prefix}"'
-                        if False else
                         f'obs name "{name}" used in this subsystem must '
-                        f'start with "{prefix}" (obs_grammar.PREFIX_RULES)'))
+                        f'start with "{prefix}" (PREFIX_RULES)'))
 
     for path, line, kind, const in constants:
         if suppressed("obs-schema", tree, path, line):
@@ -683,7 +714,7 @@ def pass_schema(tree, manifest, disk_header, disk_header_path=GEN_HEADER_REL):
             findings.append(
                 Finding(path, line, "obs-schema",
                         f'{const} ("{name}") used in this subsystem must '
-                        f'start with "{prefix}" (obs_grammar.PREFIX_RULES)'))
+                        f'start with "{prefix}" (PREFIX_RULES)'))
 
     for name in sorted(exact):
         if name not in used:
@@ -706,10 +737,12 @@ def pass_schema(tree, manifest, disk_header, disk_header_path=GEN_HEADER_REL):
 
 
 def collect_enums(tree):
-    """enum name -> list of enumerators, over every file in the tree.
+    """enum name -> list of enumerators, over every file under src/.
     Name collisions keep the first definition (project enums are unique)."""
     enums = {}
     for path in sorted(tree):
+        if not path.startswith("src/"):
+            continue
         tokens = tokenize(tree[path])
         i = 0
         n = len(tokens)
@@ -838,12 +871,172 @@ def evaluate_switch(tree, path, line, labels, watched, findings):
                     "count — every codec must confront every value)"))
 
 
+# ---------------------------------------------------- pass 4: conventions
+
+
+def std_uses(tokens, names):
+    """(token index, X) for every std::X with X in `names`."""
+    return [(i, tokens[i + 2].text) for i in range(len(tokens) - 2)
+            if tokens[i].text == "std" and tokens[i + 1].text == "::"
+            and tokens[i + 2].text in names]
+
+
+def texts(tokens, begin, count):
+    return [t.text for t in tokens[begin:begin + count]]
+
+
+def check_nested_rowid(tokens):
+    for i, _ in std_uses(tokens, {"vector"}):
+        if texts(tokens, i + 3, 6) == ["<", "std", "::", "vector", "<", "RowId"]:
+            yield tokens[i].line, "nested std::vector<std::vector<RowId>>"
+
+
+def check_naked_mutex(tokens):
+    for i, name in std_uses(tokens, {
+            "mutex", "timed_mutex", "recursive_mutex", "shared_mutex",
+            "condition_variable", "condition_variable_any", "lock_guard",
+            "unique_lock", "scoped_lock", "shared_lock"}):
+        yield tokens[i].line, f"naked std::{name}"
+
+
+def check_header_guard(tokens):
+    first = {}  # directive -> operand of its first occurrence
+    for i in range(len(tokens) - 2):
+        if tokens[i].text == "#":
+            if texts(tokens, i + 1, 2) == ["pragma", "once"]:
+                return
+            first.setdefault(tokens[i + 1].text, tokens[i + 2].text)
+    if "ifndef" in first and first["ifndef"] == first.get("define"):
+        return
+    yield 1, "header lacks an include guard"
+
+
+def check_nondeterminism(tokens):
+    for i, name in std_uses(tokens, {"random_device", "mt19937",
+                                     "mt19937_64"}):
+        yield tokens[i].line, f"nondeterministic source 'std::{name}'"
+    for i, tok in enumerate(tokens[:-1]):
+        if (tok.text in ("rand", "srand") and tokens[i + 1].text == "("
+                and (i == 0 or tokens[i - 1].text != "::")):
+            yield tok.line, f"nondeterministic source '{tok.text}'"
+
+
+# An rpc. or http. segment anywhere in an obs name.
+RPC_SEGMENT_RE = re.compile(r"(?:^|\.)(rpc|http)\.")
+
+
+def check_rpc_obs_prefix(tokens):
+    for line, _, name in scan_obs_tokens(tokens)[0]:
+        seg = RPC_SEGMENT_RE.search(name)
+        if seg and not name.startswith(f"net.{seg.group(1)}."):
+            yield line, f'obs name "{name}" carries an rpc./http. segment'
+
+
+# A request line or an HTTP/1.x version inside a string literal.
+NAKED_HTTP_RE = re.compile(
+    r'"(?:GET|POST|HEAD|PUT|DELETE|OPTIONS) /|HTTP/1\.[01]')
+
+
+def check_naked_http(tokens):
+    for tok in tokens:
+        if tok.kind == "string":
+            for _ in NAKED_HTTP_RE.finditer(tok.text):
+                yield tok.line, "hand-rolled HTTP literal"
+
+
+# `shutdown` is deliberately absent: it is a ubiquitous method name, and no
+# socket can exist to shut down unless one of these calls appeared first.
+SOCKET_CALLS = {
+    "socket", "bind", "listen", "accept", "accept4", "connect", "recvfrom",
+    "recvmsg", "recv", "sendto", "sendmsg", "send", "setsockopt",
+    "getsockopt", "getsockname", "getpeername", "inet_pton", "inet_ntop",
+    "poll", "ppoll", "epoll_create", "epoll_create1", "epoll_ctl",
+    "epoll_wait",
+}
+
+# Keywords that can directly precede a global-scope `::name`.
+EXPRESSION_KEYWORDS = {"return", "throw", "case", "else", "do", "co_return",
+                       "co_yield", "co_await", "new", "delete", "sizeof"}
+
+
+def check_naked_socket(tokens):
+    for i, tok in enumerate(tokens[:-1]):
+        if tok.text not in SOCKET_CALLS or tokens[i + 1].text != "(":
+            continue
+        prev = tokens[i - 1].text if i > 0 else ""
+        if prev in (".", "->"):
+            continue  # member call: obj.send(...), self->poll(...)
+        if prev == "::" and i > 1 and tokens[i - 2].kind == "ident" and \
+                tokens[i - 2].text not in EXPRESSION_KEYWORDS:
+            continue  # qualified: std::bind(...), Client::send(...)
+        yield tok.line, f"naked socket syscall '{tok.text}'"
+
+
+def check_naked_thread(tokens):
+    for i, name in std_uses(tokens, {"thread", "jthread"}):
+        # hardware_concurrency() is a capacity query, no thread behind it.
+        if texts(tokens, i + 3, 2) != ["::", "hardware_concurrency"]:
+            yield tokens[i].line, f"raw std::{name}"
+
+
+# (rule, check, trees swept, which files in them, remedy). Bench rows and
+# demo output are diffed across runs, so determinism and the net rules also
+# sweep bench/ and examples/.
+CONVENTION_RULES = [
+    ("nested-rowid", check_nested_rowid, ("src",), lambda p: p.endswith(".h"),
+     "use the flat CSR StrippedPartition arena instead"),
+    ("naked-mutex", check_naked_mutex, ("src",),
+     lambda p: p != "src/util/mutex.h",
+     "use the annotated Mutex/MutexLock/CondVar shims from util/mutex.h so "
+     "thread-safety analysis can see the lock"),
+    ("header-guard", check_header_guard,
+     ("src", "bench", "tests", "examples"), lambda p: p.endswith(".h"),
+     "add #pragma once or a matching #ifndef/#define pair"),
+    ("nondeterminism", check_nondeterminism, ("src", "bench", "examples"),
+     lambda p: p != "src/util/random.h",
+     "seed a dhyfd::Random (util/random.h) instead so runs reproduce across "
+     "platforms"),
+    ("rpc-obs-prefix", check_rpc_obs_prefix, ("src",),
+     lambda p: p.startswith("src/net/"),
+     "put it under net.rpc. / net.http., the namespaces the /metrics "
+     "dashboards and the bench's server-side percentiles key on"),
+    ("naked-http", check_naked_http, ("src", "bench", "examples"),
+     lambda p: not p.startswith("src/net/"),
+     "parse and render through net/http.h so the accepted grammar stays in "
+     "one audited file"),
+    ("naked-socket", check_naked_socket, ("src", "bench", "examples"),
+     lambda p: not p.startswith("src/net/"),
+     "use the Socket/Poller wrappers from net/socket.h, which own the fd "
+     "lifecycle and the EINTR/EAGAIN edge cases"),
+    ("naked-thread", check_naked_thread, ("src",),
+     lambda p: not p.startswith("src/util/"),
+     "fan work out through ThreadPool (run_shards/parallel_for) so slot "
+     "accounting, trace propagation, and obs-delta relay hold"),
+]
+
+
+def pass_conventions(tree):
+    findings = []
+    for path in sorted(tree):
+        rules = [(rule, check, remedy)
+                 for rule, check, roots, applies, remedy in CONVENTION_RULES
+                 if path.split("/")[0] in roots and applies(path)]
+        tokens = tokenize(tree[path]) if rules else []
+        for rule, check, remedy in rules:
+            for line, what in check(tokens):
+                if not suppressed(rule, tree, path, line):
+                    findings.append(Finding(path, line, rule,
+                                            f"{what}; {remedy}"))
+    return findings
+
+
 # ------------------------------------------------------------------- driver
 
 
 def load_tree(root):
     tree = {}
-    for scope in ("src",):
+    # Passes 1-3 look at src/ only; pass 4 scopes each rule itself.
+    for scope in ("src", "bench", "tests", "examples"):
         base = os.path.join(root, scope)
         if not os.path.isdir(base):
             continue
@@ -922,12 +1115,15 @@ def run(root, config_dir, fix=False, dump_names=False):
     # Pass 3: switch exhaustiveness.
     findings.extend(pass_exhaustive(tree, set(cfg.get("exhaustive_enums", []))))
 
+    # Pass 4: per-file conventions.
+    findings.extend(pass_conventions(tree))
+
     for f in findings:
         print(f)
     if findings:
         print(f"analyze: {len(findings)} finding(s)")
         return 1
-    print("analyze: OK (layering + obs schema + exhaustiveness)")
+    print("analyze: OK (layering + obs schema + exhaustiveness + conventions)")
     return 0
 
 
@@ -953,6 +1149,23 @@ def _schema(tree, manifest, header="RENDERED"):
 
 def _exh(tree, names):
     return pass_exhaustive(tree, set(names))
+
+
+def _obs(path, snippet):
+    """Pass 2 over one file, with every literal it uses (suppressed lines
+    aside) registered under the kind its call site implies."""
+    tree = {path: snippet}
+    names = {(name, kind) for _, line, kind, name in scan_obs_usages(tree)[0]
+             if not suppressed("obs-schema", tree, path, line)}
+    return _schema(tree, {
+        "names": [{"name": n, "kind": k} for n, k in sorted(names)],
+        "patterns": [],
+    })
+
+
+def _conv(rule, path, snippet):
+    """Pass 4 over one file, keeping only `rule`'s findings."""
+    return [f for f in pass_conventions({path: snippet}) if f.rule == rule]
 
 
 BASIC_MANIFEST = {
@@ -1134,6 +1347,174 @@ FIXTURES = [
              "  case Color::kGreen: return 1;\n"
              "} return 0; }\n",
      }, {"Color"}), 0, set()),
+]
+
+
+# Pass 2 naming and prefix fixtures, in the pass 4 fixture format. A badly
+# named literal fires whether or not it is registered: unlisted, it is
+# unregistered; listed (as here), the manifest grammar check rejects it.
+OBS_FIXTURES = [
+    ("obs-naming", "src/algo/bad.cc", 'ObsAdd("validatorCalls");\n', 1),
+    ("obs-naming", "src/algo/bad2.cc",
+     'metrics_->counter("jobsSubmitted").inc();\n', 1),
+    ("obs-naming", "src/algo/bad3.cc",
+     'TraceSpan span("Discover.Sampling");\n', 1),
+    ("obs-naming", "src/algo/good.cc",
+     'ObsAdd("discover.validator.calls");\n'
+     'TraceSpan span("discover.sampling");\n'
+     'metrics_->histogram("jobs.run_seconds").record(s);\n'
+     'tracer.record_span("svc.queue_wait", id, a, b);\n', 0),
+    ("obs-naming", "src/algo/nonliteral.cc",
+     "metrics_->histogram(stage_name).record(s);\n", 0),
+    ("obs-naming", "src/algo/comment.cc",
+     '// ObsAdd("NotAName") in a comment is fine\n', 0),
+    ("obs-prefix", "src/net/bad.cc",
+     'metrics_->counter("conns.accepted").inc();\n', 1),
+    ("obs-prefix", "src/net/bad2.cc", 'TraceSpan span("svc.request");\n', 1),
+    ("obs-prefix", "src/net/good.cc",
+     'metrics_->counter("net.frames_rx").inc();\n'
+     'metrics_->gauge("net.connections").add(1);\n'
+     'TraceSpan span("net.request");\n', 0),
+    ("obs-prefix", "src/service/other.cc",
+     'metrics_->counter("jobs.submitted").inc();\n', 0),
+    ("obs-prefix", "src/net/allowed.cc",
+     'counter("legacy.name")  // analyze-allow: obs-schema\n', 0),
+    ("obs-prefix", "src/query/bad.cc", 'ObsAdd("topk.validations");\n', 1),
+    ("obs-prefix", "src/query/bad2.cc",
+     'TraceSpan span("engine.execute");\n', 1),
+    ("obs-prefix", "src/query/good.cc",
+     'ObsAdd("query.validations");\n'
+     'TraceSpan span("query.lattice_level");\n'
+     'metrics_->counter("query.executes").inc();\n', 0),
+    ("obs-prefix", "src/ranking/other.cc", 'ObsAdd("rank.scored");\n', 0),
+    ("obs-prefix", "src/query/allowed.cc",
+     'counter("legacy.name")  // analyze-allow: obs-schema\n', 0),
+]
+
+# Pass 4 fixtures: (rule, virtual path, snippet, expected finding count).
+CONVENTION_FIXTURES = [
+    ("nested-rowid", "src/partition/bad.h",
+     "std::vector<std::vector<RowId>> clusters_;\n", 1),
+    ("nested-rowid", "src/partition/bad_spaced.h",
+     "std::vector< std::vector< RowId > > clusters_;\n", 1),
+    ("nested-rowid", "src/partition/good.h",
+     "std::vector<RowId> arena_;\nstd::vector<uint32_t> offsets_;\n", 0),
+    ("nested-rowid", "src/partition/allowed.h",
+     "std::vector<std::vector<RowId>> g_;  // analyze-allow: nested-rowid\n",
+     0),
+    ("nested-rowid", "src/partition/scratch.cc",
+     "std::vector<std::vector<RowId>> tmp;\n", 0),
+    ("naked-mutex", "src/service/bad.h", "mutable std::mutex mu_;\n", 1),
+    ("naked-mutex", "src/service/bad2.cc",
+     "std::lock_guard<std::mutex> lock(mu_);\n", 2),
+    ("naked-mutex", "src/service/bad3.h", "std::condition_variable cv_;\n", 1),
+    ("naked-mutex", "src/service/good.h",
+     "mutable Mutex mu_;\nCondVar cv_;\nMutexLock lock(&mu_);\n", 0),
+    ("naked-mutex", "src/util/mutex.h", "class Mutex { std::mutex mu_; };\n",
+     0),
+    ("naked-mutex", "src/service/comment.cc",
+     "// std::mutex is banned outside util/mutex.h\n", 0),
+    ("header-guard", "src/util/bad.h", "namespace dhyfd {}\n", 1),
+    ("header-guard", "src/util/pragma.h",
+     "#pragma once\nnamespace dhyfd {}\n", 0),
+    ("header-guard", "src/util/late_pragma.h",
+     "#pragma GCC system_header\n#pragma once\n", 0),
+    ("header-guard", "src/util/classic.h",
+     "#ifndef DHYFD_UTIL_CLASSIC_H_\n#define DHYFD_UTIL_CLASSIC_H_\n"
+     "#endif\n", 0),
+    ("header-guard", "src/util/mismatched.h",
+     "#ifndef GUARD_A\n#define GUARD_B\n#endif\n", 1),
+    ("header-guard", "src/util/impl.cc", "namespace dhyfd {}\n", 0),
+    ("nondeterminism", "src/datagen/bad.cc", "int x = rand() % 10;\n", 1),
+    ("nondeterminism", "src/datagen/bad2.cc",
+     "std::random_device rd;\nstd::mt19937 gen(rd());\n", 2),
+    ("nondeterminism", "src/datagen/bad3.cc", "srand(time(nullptr));\n", 1),
+    ("nondeterminism", "src/datagen/good.cc",
+     "Random rng(42);\nuint64_t v = rng.next_u64();\n", 0),
+    ("nondeterminism", "src/util/random.h",
+     "// splitmix64, no std::random_device anywhere\n", 0),
+    ("nondeterminism", "src/datagen/operand.cc",
+     "int operand(int a);\nint brand(int b);\n", 0),
+    ("rpc-obs-prefix", "src/net/bad.cc",
+     'metrics_->counter("rpc.requests").inc();\n', 1),
+    ("rpc-obs-prefix", "src/net/bad2.cc",
+     'metrics_->gauge("http.connections").add(1);\n', 1),
+    ("rpc-obs-prefix", "src/net/bad3.cc",
+     'metrics_->histogram("svc.rpc.run_seconds").record(s);\n', 1),
+    ("rpc-obs-prefix", "src/net/good.cc",
+     'metrics_->counter("net.rpc.requests").inc();\n'
+     'metrics_->gauge("net.http.connections").add(1);\n'
+     'metrics_->histogram("net.rpc.queue_seconds").record(s);\n'
+     'metrics_->counter("net.frames_rx").inc();\n', 0),
+    ("rpc-obs-prefix", "src/service/other.cc",
+     'metrics_->counter("rpc.requests").inc();\n', 0),
+    ("rpc-obs-prefix", "src/net/allowed.cc",
+     'counter("rpc.legacy")  // analyze-allow: rpc-obs-prefix\n', 0),
+    ("naked-http", "src/service/bad.cc",
+     'std::string req = "GET /metrics HTTP/1.0\\r\\n\\r\\n";\n', 2),
+    ("naked-http", "src/obs/bad2.cc", 'out += "HTTP/1.1 200 OK";\n', 1),
+    ("naked-http", "src/net/http.cc",
+     '"GET /metrics HTTP/1.0\\r\\n\\r\\n";\n', 0),
+    ("naked-http", "src/service/good.cc",
+     'std::string path = "/metrics";  // served by net/http.h\n', 0),
+    ("naked-http", "src/service/comment.cc",
+     '// a "GET /metrics HTTP/1.0" example in a comment is fine\n', 0),
+    ("naked-socket", "src/service/bad.cc",
+     "int fd = socket(AF_INET, SOCK_STREAM, 0);\n", 1),
+    ("naked-socket", "src/service/bad2.cc",
+     "::connect(fd, addr, len);\nrecv(fd, buf, n, 0);\n", 2),
+    ("naked-socket", "src/service/returned.cc",
+     "int f() { return ::socket(AF_INET, SOCK_STREAM, 0); }\n", 1),
+    ("naked-socket", "src/service/bad3.cc",
+     "setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);\n"
+     "poll(fds, n, timeout);\n", 2),
+    ("naked-socket", "src/service/good.cc",
+     "Socket s = ConnectTcp(host, port);\n"
+     "auto f = std::bind(&T::run, this);\n"
+     "client.send_frame(type, id, payload);\n"
+     "sock.connect_timeout();\nobj->sendto_queue(x);\n", 0),
+    ("naked-socket", "src/net/socket.cc",
+     "int fd = ::socket(AF_INET, SOCK_STREAM, 0);\n", 0),
+    ("naked-socket", "src/service/member.cc",
+     "pool_.shutdown();\nbus.send(msg);\nself->poll(1);\n", 0),
+    ("naked-socket", "src/service/comment.cc",
+     "// recv(fd, ...) in a comment is fine\n", 0),
+    ("naked-socket", "src/service/allowed.cc",
+     "poll(fds, n, t);  // analyze-allow: naked-socket\n", 0),
+    ("naked-thread", "src/service/bad.cc",
+     "std::thread worker([] { run(); });\n", 1),
+    ("naked-thread", "src/net/bad2.h", "std::jthread loop_;\n", 1),
+    ("naked-thread", "src/service/bad3.h",
+     "std::vector<std::thread> workers_;\n", 1),
+    ("naked-thread", "src/service/good.cc",
+     "unsigned hw = std::thread::hardware_concurrency();\n"
+     "pool_.parallel_for(n, par, body);\n", 0),
+    ("naked-thread", "src/util/thread_pool.cc",
+     "std::vector<std::thread> to_join;\n", 0),
+    ("naked-thread", "src/service/member.cc",
+     "my::thread t;\nobj.thread();\n", 0),
+    ("naked-thread", "src/net/allowed.cc",
+     "std::thread loop_;  // analyze-allow: naked-thread\n", 0),
+    ("naked-thread", "src/service/comment.cc",
+     "// std::thread is banned outside src/util/\n", 0),
+    # Directory scopes.
+    ("header-guard", "tests/bad_util.h", "namespace dhyfd {}\n", 1),
+    ("nondeterminism", "bench/bad.cc", "int x = rand() % 10;\n", 1),
+    ("naked-socket", "examples/bad.cc", "poll(fds, n, t);\n", 1),
+    ("naked-http", "bench/bad.cc", 'out += "HTTP/1.1 200 OK";\n', 1),
+    ("naked-mutex", "tests/ok.cc", "std::mutex mu;\n", 0),
+    ("naked-thread", "bench/ok.cc", "std::thread t(run);\n", 0),
+    ("nondeterminism", "tests/ok.cc", "std::mt19937 gen(7);\n", 0),
+]
+
+FIXTURES += [
+    (f"{rule}: {path}", lambda p=path, s=snippet: _obs(p, s), expected,
+     {"obs-schema"} if expected else set())
+    for rule, path, snippet, expected in OBS_FIXTURES
+] + [
+    (f"{rule}: {path}", lambda r=rule, p=path, s=snippet: _conv(r, p, s),
+     expected, {rule} if expected else set())
+    for rule, path, snippet, expected in CONVENTION_FIXTURES
 ]
 
 

@@ -23,4 +23,7 @@ int Classify(Fruit f) {
   }
 }
 
+// SEEDED VIOLATION: a raw std::thread outside src/util/ (pass 4).
+std::thread* g_worker = nullptr;
+
 }  // namespace seeded
