@@ -16,9 +16,12 @@
 #                          bitset matrix (closure + canonical-cover tests),
 #                          the wire-framing negative/fuzz-ish suite (incl.
 #                          the query payload negatives), the query lattice,
-#                          the prefix-shared rank pass, the sampler's
-#                          row-major code copy, the encoder, the input-width
-#                          negatives, the hostile-CSV corpus, and the net
+#                          the prefix-shared rank pass (also rooted at a
+#                          tombstoned live relation's live rows, as the
+#                          live profile's per-batch ranking runs it), the
+#                          sampler's row-major code copy, the encoder, the
+#                          input-width negatives, the hostile-CSV corpus,
+#                          the live-update property streams, and the net
 #                          server round-trips + trace propagation under ASan
 #   6. ubsan             — bit-twiddling kernels and the hostile-CSV corpus
 #                          under UBSan (non-recoverable)
@@ -127,7 +130,7 @@ cmake --build build-asan -j "$JOBS" --target \
   partition_test partition_cache_test partition_intersect_test \
   closure_test cover_test sampler_test encoder_test \
   net_wire_test query_test redundancy_test robustness_test live_profile_test \
-  hostile_input_test net_server_test trace_propagation_test
+  incr_property_test hostile_input_test net_server_test trace_propagation_test
 ./build-asan/tests/partition_test
 ./build-asan/tests/partition_cache_test
 ./build-asan/tests/partition_intersect_test
@@ -158,6 +161,12 @@ cmake --build build-asan -j "$JOBS" --target \
 ./build-asan/tests/redundancy_test
 ./build-asan/tests/robustness_test
 ./build-asan/tests/live_profile_test
+# The live profile ranks its cover after every batch with the same pass,
+# rooted at the live rows of a tombstoned relation: its cells are marked at
+# storage-row offsets while dead rows still hold stale values. The property
+# streams (mixed, null-heavy, delete-heavy, drain-to-empty) check every
+# batch's ranking against a from-scratch pass.
+./build-asan/tests/incr_property_test
 # Hostile CSV uploads (NUL bytes, unterminated quotes, ragged rows, 300
 # columns, an 8 MB cell) through the parser, the profiler and both
 # register_dataset paths, at every prefix of each input.

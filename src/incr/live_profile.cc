@@ -16,7 +16,7 @@ LiveProfile::LiveProfile(const RawTable& initial, LiveProfileOptions options,
                          NullSemantics semantics)
     : options_(options), rel_(initial, semantics) {
   full_discover(nullptr);
-  full_rerank();
+  rerank();
 }
 
 void LiveProfile::full_discover(BatchStats* stats) {
@@ -40,15 +40,6 @@ void LiveProfile::rebuild_tree_from_cover() {
 void LiveProfile::refresh_cover() {
   cover_ = tree_->collect();
   cover_.sort();
-}
-
-AttributeSet LiveProfile::nonunique_attrs(RowId row) const {
-  AttributeSet u;
-  const Relation& r = rel_.relation();
-  for (AttrId a = 0; a < r.num_cols(); ++a) {
-    if (rel_.group(a, r.value(row, a)).size() >= 2) u.set(a);
-  }
-  return u;
 }
 
 bool LiveProfile::holds_on_live(
@@ -158,11 +149,9 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
     ++rebuild_count_;
     stats.rebuilt = true;
     stats.rebuild_reason = reason;
-    full_rerank();
   } else {
     const Relation& r = rel_.relation();
     std::unordered_set<AttributeSet, AttributeSetHash> violated;
-    std::vector<AttributeSet> touched_profiles;
     auto scan_partners =
         [&](RowId row, std::unordered_set<AttributeSet, AttributeSetHash>* sets) {
           if (partner_stamp_.size() < static_cast<size_t>(rel_.storage_rows())) {
@@ -191,7 +180,6 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
         RowId t = rel_.insert_row(cells);
         ++stats.rows_inserted;
         scan_partners(t, &violated);
-        touched_profiles.push_back(nonunique_attrs(t));
       }
       AttributeSet root = tree_->root()->rhs;
       root.for_each([&](AttrId a) {
@@ -222,7 +210,6 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
         ++stats.unknown_deletes;
         continue;
       }
-      touched_profiles.push_back(nonunique_attrs(d));
       scan_partners(d, &destroyed);
       rel_.erase_row(d);
       ++stats.rows_deleted;
@@ -291,12 +278,12 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
       rebuild_tree_from_cover();
     }
     refresh_cover();
-    {
-      TraceSpan rerank_span(kObsIncrRerank);
-      rerank_dirty(touched_profiles, old_cover.minus(cover_), &stats);
-    }
-    incremental_seconds_ += timer.seconds();
   }
+  rerank();
+  stats.fds_reranked = cover_.size();
+  // The rank pass counts toward incremental upkeep; a rebuild batch resets
+  // the account instead.
+  if (!stats.rebuilt) incremental_seconds_ += timer.seconds();
 
   delta.added = cover_.minus(old_cover);
   delta.removed = old_cover.minus(cover_);
@@ -315,73 +302,15 @@ void LiveProfile::force_rebuild() {
   rel_.compact();
   full_discover(nullptr);
   ++rebuild_count_;
-  full_rerank();
+  rerank();
 }
 
-FdRedundancy LiveProfile::compute_live_redundancy(const Fd& fd) {
-  StrippedPartition pi;
-  if (fd.lhs.empty()) {
-    pi = rel_.whole_live_cluster();
-  } else {
-    AttrId best = fd.lhs.first();
-    fd.lhs.for_each([&](AttrId b) {
-      if (rel_.live_attribute_support(b) < rel_.live_attribute_support(best)) {
-        best = b;
-      }
-    });
-    pi = rel_.refiner().refine_all(rel_.live_attribute_partition(best),
-                                   fd.lhs - AttributeSet::single(best));
-  }
-  return FdRedundancyFromPartition(rel_.relation(), fd, pi);
-}
-
-void LiveProfile::rerank_dirty(const std::vector<AttributeSet>& touched_profiles,
-                               const FdSet& removed, BatchStats* stats) {
-  // Added FDs are dirty by virtue of missing from the map.
-  for (const Fd& fd : removed.fds) redundancy_.erase(fd);
-  for (const Fd& fd : cover_.fds) {
-    bool dirty = redundancy_.find(fd) == redundancy_.end();
-    if (!dirty) {
-      // A batch only moves this FD's counts if a touched row shared its
-      // LHS projection with another row — i.e. LHS inside that row's
-      // non-unique attribute set.
-      for (const AttributeSet& u : touched_profiles) {
-        if (fd.lhs.is_subset_of(u)) {
-          dirty = true;
-          break;
-        }
-      }
-    }
-    if (dirty) {
-      redundancy_[fd] = compute_live_redundancy(fd);
-      ++stats->fds_reranked;
-    }
-  }
-  ranking_sorted_ = false;
-}
-
-void LiveProfile::full_rerank() {
-  redundancy_.clear();
-  // Only called when the relation is freshly compacted (no tombstones), so
-  // the batch counters can reuse the profiler's whole-relation pass.
-  for (FdRedundancy& red : ComputeCoverRedundancy(rel_.relation(), cover_).per_fd) {
-    redundancy_.emplace(red.fd, std::move(red));
-  }
-  ranking_sorted_ = false;
-}
-
-const std::vector<FdRedundancy>& LiveProfile::ranking() const {
-  if (!ranking_sorted_) {
-    ranking_.clear();
-    ranking_.reserve(redundancy_.size());
-    for (const Fd& fd : cover_.fds) {
-      auto it = redundancy_.find(fd);
-      if (it != redundancy_.end()) ranking_.push_back(it->second);
-    }
-    ranking_ = SortByRedundancy(std::move(ranking_), RedundancyMode::kExcludingNullRhs);
-    ranking_sorted_ = true;
-  }
-  return ranking_;
+void LiveProfile::rerank() {
+  TraceSpan span(kObsIncrRerank);
+  const StrippedPartition live = rel_.whole_live_cluster();
+  ranking_ = SortByRedundancy(
+      ComputeCoverRedundancy(rel_.relation(), cover_, nullptr, 1, &live).per_fd,
+      RedundancyMode::kExcludingNullRhs);
 }
 
 }  // namespace dhyfd

@@ -42,7 +42,7 @@ struct BatchStats {
   int64_t validations = 0;      // generalization checks against the data
   int64_t fds_added = 0;
   int64_t fds_removed = 0;
-  int64_t fds_reranked = 0;     // dirty FDs whose redundancy was recomputed
+  int64_t fds_reranked = 0;     // FDs ranked this batch (the whole cover)
   bool rebuilt = false;         // batch fell back to a full DHyFD re-run
   std::string rebuild_reason;   // "", "cost-ratio", "tombstones", "forced"
   double seconds = 0;
@@ -83,7 +83,8 @@ enum class ApplyMode { kIncremental, kFullRerun };
 ///
 /// Invariant (the property the tests enforce): after every batch, cover()
 /// equals the left-reduced cover a from-scratch DHyFD run finds on
-/// live_relation().snapshot().
+/// live_relation().snapshot(), and ranking() holds the counts a rank pass of
+/// that cover finds there.
 class LiveProfile {
  public:
   explicit LiveProfile(const RawTable& initial, LiveProfileOptions options = {},
@@ -95,10 +96,10 @@ class LiveProfile {
   /// The maintained left-reduced cover (singleton RHSs, sorted).
   const FdSet& cover() const { return cover_; }
 
-  /// Cover FDs with redundancy counts (Section VI), sorted descending with
-  /// null-RHS redundancy excluded. A batch recomputes only the FDs whose
-  /// LHS clusters it touched.
-  const std::vector<FdRedundancy>& ranking() const;
+  /// Cover FDs with redundancy counts (Section VI) over the live rows,
+  /// sorted descending with null-RHS redundancy excluded; ties keep cover
+  /// order. Every batch re-ranks the whole cover in one prefix-shared pass.
+  const std::vector<FdRedundancy>& ranking() const { return ranking_; }
 
   CoverDelta apply(const UpdateBatch& batch, ApplyMode mode = ApplyMode::kIncremental);
 
@@ -112,16 +113,6 @@ class LiveProfile {
   double incremental_seconds() const { return incremental_seconds_; }
 
  private:
-  struct FdKeyHash {
-    size_t operator()(const Fd& fd) const {
-      return fd.lhs.hash() * 1315423911u ^ fd.rhs.hash();
-    }
-  };
-  struct FdKeyEq {
-    bool operator()(const Fd& a, const Fd& b) const { return a == b; }
-  };
-  using RedundancyMap = std::unordered_map<Fd, FdRedundancy, FdKeyHash, FdKeyEq>;
-
   void full_discover(BatchStats* stats);
   void rebuild_tree_from_cover();
   void refresh_cover();
@@ -141,23 +132,16 @@ class LiveProfile {
       std::unordered_set<AttributeSet, AttributeSetHash>* visited,
       std::vector<AttributeSet>* out, BatchStats* stats);
 
-  /// Attributes on which `row` agrees with at least one other live row —
-  /// an FD's LHS clusters can only have changed if LHS is inside this set.
-  AttributeSet nonunique_attrs(RowId row) const;
-
-  FdRedundancy compute_live_redundancy(const Fd& fd);
-  void rerank_dirty(const std::vector<AttributeSet>& touched_profiles,
-                    const FdSet& removed, BatchStats* stats);
-  void full_rerank();
+  /// Ranks the whole cover over the live rows (ComputeCoverRedundancy
+  /// rooted at the live cluster, so tombstones are never counted).
+  void rerank();
 
   LiveProfileOptions options_;
   LiveRelation rel_;
   std::unique_ptr<ExtendedFdTree> tree_;
   FdSet cover_;
 
-  RedundancyMap redundancy_;
-  mutable std::vector<FdRedundancy> ranking_;
-  mutable bool ranking_sorted_ = false;
+  std::vector<FdRedundancy> ranking_;
 
   // Partner-scan dedupe scratch: one stamp slot per internal row.
   std::vector<uint32_t> partner_stamp_;

@@ -9,7 +9,6 @@
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
 #include "obs/trace.h"
-#include "partition/stripped_partition.h"
 #include "query/topk.h"
 #include "ranking/redundancy.h"
 #include "util/timer.h"
@@ -34,8 +33,9 @@ std::vector<AttrId> ActiveColumns(const Relation& r, const DiscoveryQuery& q) {
 }
 
 /// Full-cover path: DHyFD with the query's bounds threaded through, then the
-/// whole cover scored and sorted — discovery-then-rank, but already pruned
-/// by epsilon and arity.
+/// whole cover scored in one rank pass and sorted — discovery-then-rank, but
+/// already pruned by epsilon and arity. A cancelled rank pass scores nothing,
+/// so the answer is then empty, never partial.
 QueryResult FullDiscoverRanked(const Relation& r, const DiscoveryQuery& q,
                                const QueryEngineOptions& engine_options) {
   DhyfdOptions opts;
@@ -51,11 +51,11 @@ QueryResult FullDiscoverRanked(const Relation& r, const DiscoveryQuery& q,
   result.stats.pruned_epsilon = discovered.stats.invalidated;
   result.stats.levels = discovered.stats.levels;
   result.stats.timed_out = discovered.stats.timed_out;
-  result.fds.reserve(discovered.fds.fds.size());
-  for (const Fd& fd : discovered.fds.fds) {
-    FdRedundancy red =
-        FdRedundancyFromPartition(r, fd, BuildPartition(r, fd.lhs));
-    result.fds.push_back(RankedFd{fd, RedundancyCount(red, q.ranking_mode)});
+  CoverRedundancy ranked = ComputeCoverRedundancy(
+      r, discovered.fds, engine_options.worker_pool, engine_options.parallelism);
+  result.fds.reserve(ranked.per_fd.size());
+  for (const FdRedundancy& red : ranked.per_fd) {
+    result.fds.push_back(RankedFd{red.fd, RedundancyCount(red, q.ranking_mode)});
   }
   std::sort(result.fds.begin(), result.fds.end(), RankedFdBetter);
   return result;

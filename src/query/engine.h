@@ -12,11 +12,11 @@ struct QueryEngineOptions {
   /// Cooperative deadline in seconds (0 = none); expiry sets
   /// stats.timed_out and the result is partial.
   double time_limit_seconds = 0;
-  /// Threads used by the full-discovery path (DHyFD), including the calling
-  /// thread; the ranked answer is bit-identical at any degree. The top-k
-  /// lattice walk is sequential and ignores this.
+  /// Threads used by the full-discovery path (DHyFD and its rank pass),
+  /// including the calling thread; the ranked answer is bit-identical at any
+  /// degree. The top-k lattice walk is sequential and ignores this.
   int parallelism = 1;
-  /// Pool the discovery shards fan out over (not owned).
+  /// Pool the discovery and rank shards fan out over (not owned).
   ThreadPool* worker_pool = nullptr;
 };
 
@@ -24,7 +24,9 @@ struct QueryEngineOptions {
 ///
 ///   top_k > 0            -> the rank-driven lattice walk (query/topk.h)
 ///   top_k == 0           -> DHyFD with the query's epsilon / arity bounds
-///                           threaded through, then ranked in full
+///                           threaded through, then ranked in full by one
+///                           ComputeCoverRedundancy pass (a cancelled pass
+///                           answers an empty list)
 ///
 /// so an unconstrained query (epsilon 0, k 0, unbounded arity) returns
 /// exactly the DHyFD cover in rank order. Column include/exclude scopes run

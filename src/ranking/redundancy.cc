@@ -44,7 +44,8 @@ FdRedundancy FdRedundancyFromPartition(const Relation& r, const Fd& fd,
 }
 
 CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover,
-                                       ThreadPool* pool, int parallelism) {
+                                       ThreadPool* pool, int parallelism,
+                                       const StrippedPartition* rows) {
   // Helper threads do not inherit the caller's CancelScope, so every shard
   // polls the caller's token directly.
   const CancelToken* token = CancelScope::Current();
@@ -75,7 +76,9 @@ CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover,
   out.per_fd.resize(n);
   const int m = r.num_cols();
   std::vector<uint8_t> marked(static_cast<size_t>(r.num_rows()) * m, 0);
-  const StrippedPartition whole = StrippedPartition::whole(r.num_rows());
+  const StrippedPartition all_rows =
+      rows != nullptr ? StrippedPartition() : StrippedPartition::whole(r.num_rows());
+  const StrippedPartition& root = rows != nullptr ? *rows : all_rows;
   std::atomic<bool> stopped{false};
   std::atomic<int64_t> refinements{0}, red{0}, red_plus0{0};
   // One shard is a contiguous run of the lexicographic order with its own
@@ -99,11 +102,11 @@ CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover,
           std::mismatch(x.begin(), x.end(), path.begin(), path.end()).first - x.begin();
       if (prefix.size() < x.size()) prefix.resize(x.size());
       for (size_t d = shared; d < x.size(); ++d) {
-        refiner.refine_into(d == 0 ? whole : prefix[d - 1], x[d], prefix[d]);
+        refiner.refine_into(d == 0 ? root : prefix[d - 1], x[d], prefix[d]);
         ++local_refinements;
       }
       path = x;
-      const StrippedPartition& pi = x.empty() ? whole : prefix[x.size() - 1];
+      const StrippedPartition& pi = x.empty() ? root : prefix[x.size() - 1];
       out.per_fd[i] = FdRedundancyFromPartition(r, fd, pi);
       // A cell is counted by the one shard that flips it from 0 to 1,
       // however many FDs make it redundant, so the counts depend neither on
@@ -130,7 +133,7 @@ CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover,
     rank_range(0, 0, n);
   }
   if (stopped.load()) return CoverRedundancy();
-  out.dataset.num_values = r.num_values();
+  out.dataset.num_values = rows != nullptr ? root.support() * m : r.num_values();
   out.dataset.red = red.load();
   out.dataset.red_plus0 = red_plus0.load();
   out.refinements = refinements.load();

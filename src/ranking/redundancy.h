@@ -73,8 +73,15 @@ struct CoverRedundancy {
 /// Every shard polls the caller's CancelScope token every
 /// kCancelPollInterval FDs; a cancelled run returns an empty result, never
 /// a partial one.
+///
+/// `rows` (not owned, may be null) is the root partition pi_{}: only its
+/// rows are counted, and every LHS partition is refined from it. Null means
+/// every row of `r`. A LiveRelation passes its whole_live_cluster(), so
+/// tombstoned rows are never counted; `dataset.num_values` is then
+/// ||rows|| * cols (a root of fewer than two rows is empty).
 CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover,
-                                       ThreadPool* pool = nullptr, int parallelism = 1);
+                                       ThreadPool* pool = nullptr, int parallelism = 1,
+                                       const StrippedPartition* rows = nullptr);
 
 /// O(rows^2) reference counter for one FD; cross-checks the partition-based
 /// counters in tests.

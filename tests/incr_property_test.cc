@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "algo/dhyfd.h"
 #include "datagen/update_stream.h"
 #include "incr/live_profile.h"
+#include "ranking/redundancy.h"
 #include "test_util.h"
 
 namespace dhyfd {
@@ -15,8 +19,24 @@ using testutil::CoverDifference;
 
 // The tentpole property: after ANY sequence of insert/delete batches, the
 // maintained cover is equivalent (by closure) to a from-scratch DHyFD run on
-// the live rows. Checked after EVERY batch, not just at the end, so a
-// transiently wrong cover cannot hide behind later corrections.
+// the live rows, and its ranking carries the counts a from-scratch rank pass
+// finds on them. Checked after EVERY batch, not just at the end, so a
+// transiently wrong cover or count cannot hide behind later corrections.
+
+using RankRow = std::tuple<std::string, int64_t, int64_t, int64_t>;
+
+/// (fd, #red+0, #red, #red-0) per FD, sorted, so two rankings of one cover
+/// compare as sets whatever their tie order.
+std::vector<RankRow> SortedRows(const std::vector<FdRedundancy>& reds) {
+  std::vector<RankRow> rows;
+  rows.reserve(reds.size());
+  for (const FdRedundancy& red : reds) {
+    rows.emplace_back(red.fd.to_string(), red.with_nulls, red.excluding_null_rhs,
+                      red.excluding_null_lhs_rhs);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
 
 DatasetSpec MixedSpec(uint64_t seed) {
   DatasetSpec s;
@@ -52,11 +72,15 @@ void RunStream(const UpdateStreamSpec& spec, NullSemantics semantics,
   int n = 0;
   for (const UpdateBatch& batch : stream.batches) {
     profile.apply(batch);
-    FdSet want = reference.discover(profile.live_relation().snapshot()).fds;
+    Relation snapshot = profile.live_relation().snapshot();
+    FdSet want = reference.discover(snapshot).fds;
     std::string diff =
         CoverDifference(want, profile.cover(), profile.live_relation().num_cols());
     ASSERT_EQ(diff, "") << label << ", batch " << n << " (live rows "
                         << profile.live_relation().live_rows() << ")";
+    ASSERT_EQ(SortedRows(profile.ranking()),
+              SortedRows(ComputeCoverRedundancy(snapshot, profile.cover()).per_fd))
+        << label << ", batch " << n;
     ++n;
   }
 }
@@ -117,8 +141,12 @@ TEST(IncrPropertyTest, CoverMatchesWhenEverythingDies) {
   Dhyfd reference;
   for (const UpdateBatch& batch : stream.batches) {
     profile.apply(batch);
-    FdSet want = reference.discover(profile.live_relation().snapshot()).fds;
+    Relation snapshot = profile.live_relation().snapshot();
+    FdSet want = reference.discover(snapshot).fds;
     ASSERT_EQ(CoverDifference(want, profile.cover(), 5), "")
+        << "live rows " << profile.live_relation().live_rows();
+    ASSERT_EQ(SortedRows(profile.ranking()),
+              SortedRows(ComputeCoverRedundancy(snapshot, profile.cover()).per_fd))
         << "live rows " << profile.live_relation().live_rows();
   }
   EXPECT_EQ(profile.live_relation().live_rows(), 0);

@@ -144,6 +144,8 @@ TEST(LiveProfileTest, ForcedModeRebuilds) {
   CoverDelta d = p.apply(batch, ApplyMode::kFullRerun);
   EXPECT_TRUE(d.stats.rebuilt);
   EXPECT_EQ(d.stats.rebuild_reason, "forced");
+  // A rebuild batch ranks the whole new cover, like every other batch.
+  EXPECT_EQ(d.stats.fds_reranked, p.cover().size());
   EXPECT_EQ(p.rebuild_count(), 1);
   EXPECT_EQ(p.live_relation().tombstone_fraction(), 0.0);  // compacted
   ExpectFresh(p);
@@ -193,7 +195,7 @@ TEST(LiveProfileTest, RankingMatchesFromScratchCounts) {
   batch.inserts.push_back({"z", "3", "q"});
   batch.deletes.push_back(3);
   CoverDelta d = p.apply(batch);
-  EXPECT_GT(d.stats.fds_reranked, 0);
+  EXPECT_EQ(d.stats.fds_reranked, p.cover().size());
 
   // The maintained per-FD counts must equal a from-scratch ranking of the
   // same cover over the live rows.

@@ -7,14 +7,19 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "algo/dhyfd.h"
 #include "algo/discovery.h"
 #include "algo/tane.h"
+#include "obs/obs.h"
+#include "obs/obs_schema.gen.h"
 #include "partition/partition_ops.h"
 #include "query/topk.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace dhyfd {
 namespace {
@@ -262,6 +267,43 @@ TEST(QueryEngineTest, RankedOrderIsDeterministic) {
   }
   for (size_t i = 1; i < a.fds.size(); ++i) {
     EXPECT_FALSE(RankedFdBetter(a.fds[i], a.fds[i - 1])) << i;
+  }
+}
+
+/// Cancels `token` when discovery emits its last counter, so the first poll
+/// that sees the cancel is the full path's rank pass.
+class CancelAfterDiscovery : public ObsSink {
+ public:
+  explicit CancelAfterDiscovery(CancelToken* token) : token_(token) {}
+  void add(const char* name, std::int64_t) override {
+    if (std::string_view(name) == kObsDiscoverLevels) token_->cancel();
+  }
+
+ private:
+  CancelToken* token_;
+};
+
+TEST(QueryEngineTest, FullPathCancelledDuringRankingReturnsEmptyList) {
+  Relation r = StructuredRelation(29);
+  ThreadPool pool(4);
+  for (int degree : {1, 4}) {
+    QueryEngineOptions opts;
+    opts.parallelism = degree;
+    opts.worker_pool = &pool;
+    ASSERT_FALSE(QueryEngine(opts).execute(r, DiscoveryQuery{}).fds.empty());
+    CancelToken token;
+    CancelAfterDiscovery sink(&token);
+    QueryResult result;
+    {
+      CancelScope cancel_scope(&token);
+      ObsScope obs_scope(&sink);
+      result = QueryEngine(opts).execute(r, DiscoveryQuery{});
+    }
+    // Discovery finished uncancelled; the rank pass scored nothing.
+    EXPECT_TRUE(token.cancelled()) << "degree " << degree;
+    EXPECT_FALSE(result.stats.timed_out) << "degree " << degree;
+    EXPECT_GT(result.stats.validations, 0) << "degree " << degree;
+    EXPECT_TRUE(result.fds.empty()) << "degree " << degree;
   }
 }
 

@@ -5,8 +5,11 @@
 #include <chrono>
 #include <thread>
 
+#include "algo/dhyfd.h"
 #include "algo/discovery.h"
+#include "datagen/benchmark_data.h"
 #include "fd/cover.h"
+#include "incr/live_relation.h"
 #include "partition/stripped_partition.h"
 #include "test_util.h"
 #include "util/cancellation.h"
@@ -162,6 +165,42 @@ TEST(RedundancyTest, PrefixSharingMatchesFromScratchPartitions) {
     // Visited as {}, {0}, {0,1}, {0,1}, {0,1,2}, {0,2}, {1}: one refinement
     // per new trie node, against 11 attributes over all LHSs.
     EXPECT_EQ(fast.refinements, 5) << "seed=" << seed;
+  }
+}
+
+TEST(RedundancyTest, LiveRowsRootMatchesSnapshotAtAnyDegree) {
+  // A tombstoned LiveRelation keeps its dead rows' stale cells in storage;
+  // rooted at the live cluster, the pass must count exactly what it counts
+  // on the compacted snapshot, at any degree.
+  RawTable raw = GenerateBenchmark("ncvoter", 600);
+  LiveRelation live(raw, NullSemantics::kNullNotEqualsNull);
+  for (RowId row = 0; row < live.storage_rows(); row += 3) live.erase_row(row);
+  for (int i = 0; i < 40; ++i) live.insert_row(raw.rows[static_cast<size_t>(i) * 7]);
+  ASSERT_GT(live.tombstone_fraction(), 0.2);
+  Relation snapshot = live.snapshot();
+  FdSet cover =
+      CanonicalCover(Dhyfd(DhyfdOptions{}).discover(snapshot).fds, snapshot.num_cols());
+  ASSERT_GT(cover.size(), 20);
+  CoverRedundancy want = ComputeCoverRedundancy(snapshot, cover);
+  ASSERT_GT(want.dataset.red, 0);
+  const StrippedPartition root = live.whole_live_cluster();
+  ThreadPool pool(4);
+  for (int degree : {1, 4}) {
+    CoverRedundancy got =
+        ComputeCoverRedundancy(live.relation(), cover, &pool, degree, &root);
+    ASSERT_EQ(got.per_fd.size(), want.per_fd.size()) << "degree " << degree;
+    for (size_t i = 0; i < want.per_fd.size(); ++i) {
+      EXPECT_EQ(got.per_fd[i].fd, want.per_fd[i].fd) << "degree " << degree << " #" << i;
+      EXPECT_EQ(got.per_fd[i].with_nulls, want.per_fd[i].with_nulls)
+          << "degree " << degree << " #" << i;
+      EXPECT_EQ(got.per_fd[i].excluding_null_rhs, want.per_fd[i].excluding_null_rhs)
+          << "degree " << degree << " #" << i;
+      EXPECT_EQ(got.per_fd[i].excluding_null_lhs_rhs, want.per_fd[i].excluding_null_lhs_rhs)
+          << "degree " << degree << " #" << i;
+    }
+    EXPECT_EQ(got.dataset.num_values, want.dataset.num_values) << "degree " << degree;
+    EXPECT_EQ(got.dataset.red, want.dataset.red) << "degree " << degree;
+    EXPECT_EQ(got.dataset.red_plus0, want.dataset.red_plus0) << "degree " << degree;
   }
 }
 
