@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives: stripped-
 // partition construction/refinement/intersection, FD-tree operations,
-// synergized induction, attribute closure, and agree-set extraction.
+// synergized induction, attribute closure, agree-set extraction, the
+// neighborhood sampler and relation encoding.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 
 #include "algo/agree_sets.h"
 #include "algo/discovery.h"
+#include "algo/sampler.h"
 #include "datagen/benchmark_data.h"
 #include "fd/closure.h"
 #include "fdtree/extended_fd_tree.h"
@@ -117,6 +119,29 @@ void BM_AgreeSets(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pairs);
 }
 BENCHMARK(BM_AgreeSets)->Arg(200)->Arg(1000)->Arg(3000);
+
+void BM_NeighborhoodSampler(benchmark::State& state) {
+  // Construction (counting passes + row-major copy) plus DHyFD's initial
+  // sampling over windows 1..3, sequential, on the ncvoter analog.
+  Relation r = EncodeRelation(GenerateBenchmark("ncvoter", static_cast<int>(state.range(0))))
+                   .relation;
+  for (auto _ : state) {
+    NeighborhoodSampler sampler(r);
+    benchmark::DoNotOptimize(sampler.initial(3).size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_NeighborhoodSampler)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+void BM_EncodeRelation(benchmark::State& state) {
+  // Sequential DIIS encoding of the ncvoter analog's string cells.
+  RawTable t = GenerateBenchmark("ncvoter", static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EncodeRelation(t).relation.num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) * t.num_cols());
+}
+BENCHMARK(BM_EncodeRelation)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_SynergizedInduction(benchmark::State& state) {
   // Induct a stream of random non-FDs into a fresh extended tree.

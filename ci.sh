@@ -23,8 +23,9 @@
 #                          input-width negatives, the hostile-CSV corpus,
 #                          the live-update property streams, and the net
 #                          server round-trips + trace propagation under ASan
-#   6. ubsan             — bit-twiddling kernels and the hostile-CSV corpus
-#                          under UBSan (non-recoverable)
+#   6. ubsan             — bit-twiddling kernels, the sampler's counting
+#                          passes and the hostile-CSV corpus under UBSan
+#                          (non-recoverable)
 #   7. thread-safety     — Clang Thread Safety Analysis as errors over src/,
 #                          plus a seeded mis-annotation that must FAIL to
 #                          compile (skipped with a notice when clang++ is not
@@ -139,9 +140,10 @@ cmake --build build-asan -j "$JOBS" --target \
 # word boundary and the canonical-cover tests drive ~97k-FD matrices.
 ./build-asan/tests/closure_test
 ./build-asan/tests/cover_test
-# The sampler reads a row-major copy of the codes at row * cols offsets in
-# both its neighborhood sort and its agree-set loop; the encoder fills one
-# code column per shard.
+# The sampler's agree-set loop reads a row-major copy of the codes at
+# row * cols offsets (and prefetches rows ahead of its cursor), and its
+# counting passes scatter rows through per-code cursors into the
+# neighborhood orders; the encoder fills one code column per shard.
 ./build-asan/tests/sampler_test
 ./build-asan/tests/encoder_test
 # net_wire_test feeds the frame decoder truncated frames, hostile length
@@ -185,11 +187,14 @@ echo "=== ubsan: bit-twiddling kernels under UBSan (no recovery) ==="
 # -fno-sanitize-recover=all turns the first hit into a nonzero exit.
 cmake -B build-ubsan -S . -DDHYFD_SANITIZE=undefined -DDHYFD_WERROR=ON
 cmake --build build-ubsan -j "$JOBS" --target \
-  attribute_set_test partition_test partition_intersect_test \
+  attribute_set_test partition_test partition_intersect_test sampler_test \
   closure_test ranking_test query_topk_property_test hostile_input_test
 ./build-ubsan/tests/attribute_set_test
+# The refiner's pair fast path and counting split, and the sampler's
+# counting passes, which index per-code buckets at bucket[code + 1].
 ./build-ubsan/tests/partition_test
 ./build-ubsan/tests/partition_intersect_test
+./build-ubsan/tests/sampler_test
 ./build-ubsan/tests/closure_test
 ./build-ubsan/tests/ranking_test
 # The top-k oracle sweep exercises the score accumulation and the removal

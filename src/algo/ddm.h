@@ -31,11 +31,6 @@ class Ddm {
     return static_partitions_[a];
   }
 
-  /// All pre-computed single-attribute partitions (for the sampler).
-  const std::vector<StrippedPartition>& static_partitions() const {
-    return static_partitions_;
-  }
-
   /// ||pi_A||; Algorithm 6 line 16 picks the path attribute minimizing this.
   int64_t attribute_support(AttrId a) const { return attribute_supports_[a]; }
 

@@ -54,15 +54,17 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   const bool approx = budget > 0;
 
   // Lines 5-6: one-off sorted-neighborhood sampling, plus validating the
-  // root FD against the whole relation (partition {r}).
-  NeighborhoodSampler sampler(r, ddm.static_partitions(), pool, par);
+  // root FD against the whole relation (partition {r}). The span covers the
+  // neighborhood build; the sampler's row copy and neighborhoods are freed
+  // before validation starts.
   std::vector<AttributeSet> violations;
   if (!approx) {
     TraceSpan span(kObsDiscoverSampling);
+    NeighborhoodSampler sampler(r, pool, par);
     violations = sampler.initial(options_.initial_sampling_windows);
+    result.stats.pairs_compared += sampler.pairs_compared();
   }
   result.stats.sampled_non_fds = static_cast<int64_t>(violations.size());
-  result.stats.pairs_compared += sampler.pairs_compared();
   {
     StrippedPartition whole = StrippedPartition::whole(r.num_rows());
     result.stats.validations += tree.root()->rhs.count();

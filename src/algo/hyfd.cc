@@ -42,7 +42,10 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
     supports[a] = attr_partitions.back().support();
   }
   PartitionRefiner refiner(r);
-  NeighborhoodSampler sampler(r, attr_partitions, pool, par);
+  NeighborhoodSampler sampler = [&] {
+    TraceSpan span(kObsDiscoverSampling);
+    return NeighborhoodSampler(r, pool, par);
+  }();
   size_t static_bytes = 0;
   for (const StrippedPartition& p : attr_partitions) static_bytes += p.memory_bytes();
   size_t logical_peak = 2 * static_bytes;  // PLIs + the sampler's sorted copy

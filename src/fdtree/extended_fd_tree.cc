@@ -40,6 +40,7 @@ void ExtendedFdTree::add_fd(const AttributeSet& lhs, const AttributeSet& rhs) {
   Node* current = root_.get();
   int depth = 0;
   lhs.for_each([&](AttrId a) { current = ensure_child(current, a, ++depth); });
+  fd_count_ += (rhs - current->rhs).count();
   current->rhs |= rhs;
 }
 
@@ -90,6 +91,7 @@ void ExtendedFdTree::process_fd_node(const AttributeSet& x, const AttributeSet& 
   AttributeSet removed = current->rhs & y;
   current->rhs -= y;
   if (removed.empty()) return;
+  fd_count_ -= removed.count();
   AttributeSet x_prime = path_of(current);
 
   // Case 1 (Algorithm 2 steps 12-14): extend with attributes outside
@@ -137,18 +139,6 @@ void ExtendedFdTree::induct(const AttributeSet& x, const AttributeSet& y) {
   std::vector<AttrId> x_attrs;
   x.for_each([&](AttrId a) { x_attrs.push_back(a); });
   induct_rec(x_attrs, 0, x, y, root_.get());
-}
-
-int64_t ExtendedFdTree::total_fd_count() const {
-  int64_t total = 0;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    total += node->rhs.count();
-    for (const auto& c : node->children) stack.push_back(c.get());
-  }
-  return total;
 }
 
 void ExtendedFdTree::reset_ids() {

@@ -41,7 +41,10 @@ class ExtendedFdTree {
   const Node* root() const { return root_.get(); }
 
   /// Installs the start FD {} -> rhs on the root (Algorithm 6 line 4).
-  void init_root_fd(const AttributeSet& rhs) { root_->rhs = rhs; }
+  void init_root_fd(const AttributeSet& rhs) {
+    fd_count_ += rhs.count() - root_->rhs.count();
+    root_->rhs = rhs;
+  }
 
   /// The controlled level cl: new nodes at depth <= cl get their default id
   /// (their own attribute); deeper new nodes inherit their parent's id
@@ -69,8 +72,9 @@ class ExtendedFdTree {
   /// `candidates - covered_rhs(lhs, candidates)`.
   AttributeSet covered_rhs(const AttributeSet& lhs, const AttributeSet& candidates) const;
 
-  /// Sum of |rhs| over all nodes: the number of FDs in the tree.
-  int64_t total_fd_count() const;
+  /// Sum of |rhs| over all nodes: the number of FDs in the tree. O(1): the
+  /// tree counts the labels init_root_fd, add_fd and induct set and clear.
+  int64_t total_fd_count() const { return fd_count_; }
 
   size_t node_count() const { return node_count_; }
 
@@ -101,6 +105,7 @@ class ExtendedFdTree {
   int controlled_level_ = 0;
   std::unique_ptr<Node> root_;
   size_t node_count_ = 1;
+  int64_t fd_count_ = 0;
 };
 
 }  // namespace dhyfd

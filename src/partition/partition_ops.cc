@@ -19,6 +19,12 @@ PartitionRefiner::PartitionRefiner(const Relation& r)
 void PartitionRefiner::refine_cluster(ClusterView cluster, AttrId a,
                                       StrippedPartition& out) {
   const std::vector<ValueId>& col = rel_.column(a);
+  // Most refined classes are pairs, and a pair survives whole (both rows
+  // share the A-value) or not at all: no counters needed.
+  if (cluster.size() == 2) {
+    if (col[cluster[0]] == col[cluster[1]]) out.add_cluster(cluster);
+    return;
+  }
   // Algorithm 5, flattened: count each A-value's occurrences in the class,
   // lay the surviving sub-classes out contiguously in the output arena,
   // then place each row at its sub-class cursor. Two passes, no per-class

@@ -46,7 +46,7 @@ class StrippedPartition {
   }
 
   /// Mutable view of the i-th class; used for in-place row reordering
-  /// (normalize, the sampler's sorted neighborhoods).
+  /// (normalize, and the tests' comparison-sorted neighborhoods).
   std::span<RowId> mutable_cluster(size_t i) {
     return std::span<RowId>(rows_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]);
   }

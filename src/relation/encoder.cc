@@ -1,5 +1,6 @@
 #include "relation/encoder.h"
 
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -16,7 +17,10 @@ EncodedRelation EncodeRelation(const RawTable& table, NullSemantics semantics,
   out.dictionaries.resize(cols);
 
   auto encode_column = [&](AttrId c) {
-    std::unordered_map<std::string, ValueId> codes;
+    // Keyed by views of the table's cells, which outlive the map, and
+    // filled by try_emplace, so a repeated cell allocates and copies
+    // nothing.
+    std::unordered_map<std::string_view, ValueId> codes;
     codes.reserve(rows);
     // Built locally and moved in at the end: the dictionaries' vector
     // headers share cache lines across shards.
@@ -40,7 +44,7 @@ EncodedRelation EncodeRelation(const RawTable& table, NullSemantics semantics,
         }
         continue;
       }
-      auto [it, inserted] = codes.emplace(cell, static_cast<ValueId>(dict.size()));
+      auto [it, inserted] = codes.try_emplace(cell, static_cast<ValueId>(dict.size()));
       if (inserted) dict.push_back(cell);
       out.relation.set_value(r, c, it->second);
     }
@@ -85,7 +89,7 @@ ValueId DeltaEncoder::encode_cell(AttrId col, const std::string& cell,
     return null_code_[col];
   }
   *is_null = false;
-  auto [it, inserted] = code_of_[col].emplace(cell, static_cast<ValueId>(dict.size()));
+  auto [it, inserted] = code_of_[col].try_emplace(cell, static_cast<ValueId>(dict.size()));
   if (inserted) dict.push_back(cell);
   return it->second;
 }

@@ -38,11 +38,8 @@ bool Relation::agree_on(RowId s, RowId t, const AttributeSet& x) const {
 }
 
 AttributeSet Relation::agree_set(RowId s, RowId t) const {
-  AttributeSet ag;
-  for (int a = 0; a < num_cols(); ++a) {
-    if (columns_[a][s] == columns_[a][t]) ag.set(a);
-  }
-  return ag;
+  return AttributeSet::where(num_cols(),
+                             [&](AttrId a) { return columns_[a][s] == columns_[a][t]; });
 }
 
 bool Relation::satisfies(const AttributeSet& lhs, AttrId rhs) const {

@@ -52,6 +52,24 @@ class AttributeSet {
     return s;
   }
 
+  /// The set {a < n : pred(a)}. Each bit is or-ed in without branching on
+  /// pred, which keeps hot loops over unpredictable tests (agree sets)
+  /// free of mispredictions.
+  template <typename Pred>
+  static AttributeSet where(int n, Pred&& pred) {
+    AttributeSet s;
+    for (int w = 0; w * 64 < n; ++w) {
+      // One word at a time in a register: no read-modify-write per bit.
+      uint64_t bits = 0;
+      const int end = n < (w + 1) * 64 ? n : (w + 1) * 64;
+      for (AttrId a = w * 64; a < end; ++a) {
+        bits |= static_cast<uint64_t>(static_cast<bool>(pred(a))) << (a & 63);
+      }
+      s.words_[w] = bits;
+    }
+    return s;
+  }
+
   void set(AttrId a) { words_[word(a)] |= bit(a); }
   void reset(AttrId a) { words_[word(a)] &= ~bit(a); }
   bool test(AttrId a) const { return (words_[word(a)] & bit(a)) != 0; }

@@ -56,6 +56,19 @@ TEST(AttributeSetTest, FullCrossesWordBoundaries) {
   }
 }
 
+TEST(AttributeSetTest, WhereMatchesSetLoopAcrossWordBoundaries) {
+  for (int n : {0, 1, 5, 63, 64, 65, 127, 128, 200, 256}) {
+    for (int stride : {1, 2, 3, 7}) {
+      auto pred = [&](AttrId a) { return a % stride == 0; };
+      AttributeSet want;
+      for (AttrId a = 0; a < n; ++a) {
+        if (pred(a)) want.set(a);
+      }
+      EXPECT_EQ(AttributeSet::where(n, pred), want) << "n=" << n << " stride=" << stride;
+    }
+  }
+}
+
 TEST(AttributeSetTest, FirstLastNext) {
   AttributeSet s{5, 70, 200};
   EXPECT_EQ(s.first(), 5);

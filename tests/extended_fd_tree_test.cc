@@ -2,8 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include "util/random.h"
+
 namespace dhyfd {
 namespace {
+
+/// Sum of |rhs| over every node, by a full walk of the tree.
+int64_t WalkedFdCount(const ExtendedFdTree& tree) {
+  int64_t total = 0;
+  std::vector<const ExtendedFdTree::Node*> stack = {tree.root()};
+  while (!stack.empty()) {
+    const ExtendedFdTree::Node* node = stack.back();
+    stack.pop_back();
+    total += node->rhs.count();
+    for (const auto& c : node->children) stack.push_back(c.get());
+  }
+  return total;
+}
 
 TEST(ExtendedFdTreeTest, AddFdAndCollect) {
   // Paper Figure 1 (right): A -> B, AB -> CD, CD -> B over R = {A..E}.
@@ -176,6 +191,42 @@ TEST(ExtendedFdTreeTest, InductNoMatchingPathsIsNoop) {
   FdSet fds = tree.collect();
   ASSERT_EQ(fds.size(), 1);
   EXPECT_EQ(fds.fds[0], Fd(AttributeSet{1, 2}, 3));
+}
+
+TEST(ExtendedFdTreeTest, FdCountMatchesWalkAfterRandomInductions) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Random rng(seed);
+    const int m = 4 + static_cast<int>(rng.next_below(5));
+    ExtendedFdTree tree(m);
+    tree.init_root_fd(AttributeSet::full(m));
+    EXPECT_EQ(tree.total_fd_count(), WalkedFdCount(tree));
+    for (int step = 0; step < 40; ++step) {
+      AttributeSet x;
+      for (AttrId a = 0; a < m; ++a) {
+        if (rng.next_bool(0.4)) x.set(a);
+      }
+      if (rng.next_bool(0.2)) {
+        // Re-adding labels (some already present) must count each FD once.
+        AttributeSet rhs = AttributeSet::full(m) - x;
+        rhs.reset(static_cast<AttrId>(rng.next_below(m)));
+        tree.add_fd(x, rhs);
+      } else {
+        tree.induct(x, AttributeSet::full(m) - x);
+      }
+      ASSERT_EQ(tree.total_fd_count(), WalkedFdCount(tree))
+          << "seed " << seed << " step " << step;
+    }
+    EXPECT_EQ(tree.total_fd_count(), tree.collect().size());
+  }
+}
+
+TEST(ExtendedFdTreeTest, FdCountTracksRootReinitialisation) {
+  ExtendedFdTree tree(5);
+  tree.init_root_fd(AttributeSet::full(5));
+  EXPECT_EQ(tree.total_fd_count(), 5);
+  tree.init_root_fd(AttributeSet{1, 3});
+  EXPECT_EQ(tree.total_fd_count(), 2);
+  EXPECT_EQ(tree.total_fd_count(), WalkedFdCount(tree));
 }
 
 }  // namespace

@@ -359,15 +359,11 @@ TEST(ParallelSamplerTest, InitialSamplingIdenticalAtAnyDegree) {
   for (const auto& [name, rows] :
        std::vector<std::pair<std::string, int>>{{"ncvoter", 4000}, {"diabetic", 1500}}) {
     Relation r = EncodeRelation(GenerateBenchmark(name, rows)).relation;
-    std::vector<StrippedPartition> partitions;
-    for (AttrId a = 0; a < r.num_cols(); ++a) {
-      partitions.push_back(BuildAttributePartition(r, a));
-    }
     auto [want, want_pairs] = ColumnMajorInitial(r, 3);
     ASSERT_FALSE(want.empty()) << name;
     for (int degree : {1, 4}) {
       ThreadPool pool(degree);
-      NeighborhoodSampler sampler(r, partitions, &pool, degree);
+      NeighborhoodSampler sampler(r, &pool, degree);
       EXPECT_EQ(sampler.initial(3), want) << name << " p=" << degree;
       EXPECT_EQ(sampler.pairs_compared(), want_pairs) << name << " p=" << degree;
     }

@@ -114,6 +114,58 @@ TEST(PartitionRefinerTest, RefineClusterAppendsOnlyNonSingletons) {
   EXPECT_EQ(testutil::ClusterRows(out, 0), (std::vector<RowId>{0, 2}));
 }
 
+TEST(PartitionRefinerTest, PairThatSplitsIsStripped) {
+  Relation r = FromValues({{0, 1}, {0, 2}});
+  PartitionRefiner refiner(r);
+  StrippedPartition out;
+  const std::vector<RowId> pair = {1, 0};
+  refiner.refine_cluster(ClusterView(pair.data(), pair.size()), 1, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(out.size(), 0);
+}
+
+TEST(PartitionRefinerTest, PairThatAgreesSurvivesWholeInClusterOrder) {
+  Relation r = FromValues({{0, 5}, {1, 6}, {0, 5}});
+  PartitionRefiner refiner(r);
+  StrippedPartition out;
+  const std::vector<RowId> pair = {2, 0};
+  refiner.refine_cluster(ClusterView(pair.data(), pair.size()), 1, out);
+  ASSERT_EQ(out.size(), 1);
+  EXPECT_EQ(testutil::ClusterRows(out, 0), (std::vector<RowId>{2, 0}));
+  EXPECT_EQ(out.support(), 2);
+}
+
+TEST(PartitionRefinerTest, MixedClusterSizesInOneArena) {
+  // Attribute 0 groups rows into a surviving pair {0,1}, a splitting pair
+  // {2,3}, a triple {4,5,6} that keeps two rows and a quadruple {7,8,9,10}
+  // that splits into two pairs; attribute 1 refines them.
+  Relation r = FromValues({{0, 7},
+                           {0, 7},
+                           {1, 1},
+                           {1, 2},
+                           {2, 3},
+                           {2, 4},
+                           {2, 3},
+                           {3, 5},
+                           {3, 6},
+                           {3, 6},
+                           {3, 5}});
+  PartitionRefiner refiner(r);
+  StrippedPartition p = BuildAttributePartition(r, 0);
+  ASSERT_EQ(p.size(), 4);
+  StrippedPartition refined = refiner.refine(p, 1);
+  ASSERT_EQ(refined.size(), 4);
+  EXPECT_EQ(testutil::ClusterRows(refined, 0), (std::vector<RowId>{0, 1}));
+  EXPECT_EQ(testutil::ClusterRows(refined, 1), (std::vector<RowId>{4, 6}));
+  EXPECT_EQ(testutil::ClusterRows(refined, 2), (std::vector<RowId>{7, 10}));
+  EXPECT_EQ(testutil::ClusterRows(refined, 3), (std::vector<RowId>{8, 9}));
+  EXPECT_EQ(refined.support(), 8);
+  StrippedPartition direct = BuildPartition(r, AttributeSet{0, 1});
+  refined.normalize();
+  direct.normalize();
+  EXPECT_EQ(refined.to_string(), direct.to_string());
+}
+
 TEST(PartitionRefinerTest, ScratchIsReusableAcrossCalls) {
   Relation r = RandomRelation(13, 100, 3, 6);
   PartitionRefiner refiner(r);
