@@ -21,8 +21,9 @@
 #                          live profile's per-batch ranking runs it), the
 #                          sampler's row-major code copy, the encoder, the
 #                          input-width negatives, the hostile-CSV corpus,
-#                          the live-update property streams, and the net
-#                          server round-trips + trace propagation under ASan
+#                          the live-update property streams, the net
+#                          server round-trips + trace propagation, and the
+#                          job/update handle continuations under ASan
 #   6. ubsan             — bit-twiddling kernels, the sampler's counting
 #                          passes and the hostile-CSV corpus under UBSan
 #                          (non-recoverable)
@@ -106,7 +107,8 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/obs_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/trace_propagation_test
 # net_server_test exercises full client/server round-trips, concurrent
 # clients, credit-window backpressure, and graceful drain — the event loop,
-# the ops pool, and the scheduler completion sweep all overlap here.
+# the ops pool, and the job/update continuations posting to its inbox all
+# overlap here.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_credit_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/net_server_test
 # net_http_test mixes HTTP connections into the same poll loop the RPC
@@ -131,7 +133,8 @@ cmake --build build-asan -j "$JOBS" --target \
   partition_test partition_cache_test partition_intersect_test \
   closure_test cover_test sampler_test encoder_test \
   net_wire_test query_test redundancy_test robustness_test live_profile_test \
-  incr_property_test hostile_input_test net_server_test trace_propagation_test
+  incr_property_test hostile_input_test net_server_test trace_propagation_test \
+  service_test live_store_test
 ./build-asan/tests/partition_test
 ./build-asan/tests/partition_cache_test
 ./build-asan/tests/partition_intersect_test
@@ -179,6 +182,9 @@ cmake --build build-asan -j "$JOBS" --target \
 # request type, hostile envelopes, drain) and the traced paths run here too.
 ./build-asan/tests/net_server_test
 ./build-asan/tests/trace_propagation_test
+# Job/update continuations run on worker threads after the handle turns terminal.
+./build-asan/tests/service_test
+./build-asan/tests/live_store_test
 
 echo
 echo "=== ubsan: bit-twiddling kernels under UBSan (no recovery) ==="

@@ -17,11 +17,14 @@ namespace dhyfd::net {
 namespace {
 
 constexpr int kOpsThreads = 2;
+/// The loop's poll timeout: the cadence of heartbeats, idle checks and the
+/// drain deadline. Answers and events wake the loop; they never wait for it.
+constexpr int kTickMs = 50;
 
-/// Synthetic Chrome-trace lane for server-side request spans, matching the
-/// scheduler's convention so one trace id lands on one visual row.
-std::uint32_t TraceLane(std::uint64_t trace_id) {
-  return 900000u + static_cast<std::uint32_t>(trace_id % 100000);
+double SecondsSince(std::chrono::steady_clock::time_point epoch) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       epoch)
+      .count();
 }
 
 /// Appends a kCostTrailer frame (same request_id as the answer it follows)
@@ -105,6 +108,7 @@ ProfilingServer::ProfilingServer(JobScheduler* scheduler, LiveStore* live,
       datasets_(datasets),
       metrics_(metrics),
       options_(std::move(options)),
+      inbox_(std::make_shared<Inbox>()),
       ops_pool_(kOpsThreads),
       epoch_(std::chrono::steady_clock::now()),
       slowlog_(options_.slowlog_capacity),
@@ -126,10 +130,31 @@ ProfilingServer::ProfilingServer(JobScheduler* scheduler, LiveStore* live,
 
 ProfilingServer::~ProfilingServer() { shutdown(); }
 
-double ProfilingServer::now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
+double ProfilingServer::now() const { return SecondsSince(epoch_); }
+
+void ProfilingServer::Inbox::post(Completion done) {
+  {
+    MutexLock lock(&mu);
+    if (closed) return;
+    completions.push_back(std::move(done));
+  }
+  wake.wake();
+}
+
+void ProfilingServer::Inbox::post(CoverChangeEvent event) {
+  {
+    MutexLock lock(&mu);
+    if (closed) return;
+    events.push_back(std::move(event));
+  }
+  wake.wake();
+}
+
+void ProfilingServer::Inbox::close() {
+  MutexLock lock(&mu);
+  closed = true;
+  completions.clear();
+  events.clear();
 }
 
 void ProfilingServer::start() {
@@ -142,17 +167,11 @@ void ProfilingServer::start() {
     http_listener_.set_nonblocking(true);
   }
   // Cover-change events are produced on LiveStore worker threads; they are
-  // queued under mu_ and the loop is woken to fan them out to subscribers.
+  // posted to the inbox and the loop fans them out to subscribers.
   {
     MutexLock lock(&shutdown_mu_);
-    live_listener_token_ = live_->subscribe([this](const CoverChangeEvent& ev) {
-      {
-        MutexLock lock(&mu_);
-        if (stop_requested_) return;
-        events_.push_back(ev);
-      }
-      wake_.wake();
-    });
+    live_listener_token_ = live_->subscribe(
+        [inbox = inbox_](const CoverChangeEvent& ev) { inbox->post(ev); });
   }
   // The event loop owns its thread for its whole lifetime; pool workers
   // are for bounded tasks.  // analyze-allow: naked-thread
@@ -164,7 +183,7 @@ void ProfilingServer::shutdown() {
     MutexLock lock(&mu_);
     stop_requested_ = true;
   }
-  wake_.wake();
+  inbox_->wake.wake();
   // Exactly one caller runs the teardown; everyone else blocks on the
   // mutex until it finished, then sees shutdown_done_ and returns. No
   // caller can return while the loop thread is still draining, and the
@@ -173,6 +192,8 @@ void ProfilingServer::shutdown() {
   if (shutdown_done_) return;
   shutdown_done_ = true;
   if (loop_thread_.joinable()) loop_thread_.join();
+  // Nobody reads the inbox anymore; what still finishes posts into nothing.
+  inbox_->close();
   if (live_listener_token_ != 0) {
     live_->unsubscribe(live_listener_token_);
     live_listener_token_ = 0;
@@ -213,7 +234,7 @@ void ProfilingServer::loop() {
     // The HTTP listener outlives the drain start: /healthz keeps answering
     // (with 503) while the RPC side refuses work.
     if (http_listener_.valid()) poller.watch(http_listener_.fd(), true, false);
-    poller.watch(wake_.read_fd(), true, false);
+    poller.watch(inbox_->wake.read_fd(), true, false);
     for (const auto& [id, conn] : conns_) {
       if (conn->dead) continue;  // reaped at the end of this tick
       bool want_write = conn->out_pos < conn->out.size();
@@ -224,20 +245,15 @@ void ProfilingServer::loop() {
       poller.watch(hc->sock.fd(), !hc->responded,
                    hc->out_pos < hc->out.size());
     }
-    // Job/update completion has no callback — the loop sweeps the handles.
-    // Tighten the tick while any are pending so responses stay prompt.
-    int timeout_ms =
-        (!pending_jobs_.empty() || !pending_updates_.empty()) ? 2 : 50;
-    if (draining_) timeout_ms = 2;
-    std::vector<PollEvent> ready = poller.wait(timeout_ms);
+    std::vector<PollEvent> ready = poller.wait(kTickMs);
 
     for (const PollEvent& ev : ready) {
       if (listener_.valid() && ev.fd == listener_.fd()) {
         if (ev.readable) accept_new();
         continue;
       }
-      if (ev.fd == wake_.read_fd()) {
-        wake_.drain();
+      if (ev.fd == inbox_->wake.read_fd()) {
+        inbox_->wake.drain();
         continue;
       }
       if (http_listener_.valid() && ev.fd == http_listener_.fd()) {
@@ -283,22 +299,9 @@ void ProfilingServer::loop() {
       // error) the connection.
       if (conns_.find(conn_id) == conns_.end() || conn->dead) continue;
       if (ev.writable) flush_writes(*conn);
-      if (conns_.find(conn_id) == conns_.end() || conn->dead) continue;
-      if (conn->closing && conn->out_pos >= conn->out.size()) {
-        drop_connection(conn_id, "flushed and closing");
-      }
     }
 
-    sweep_pending();
     flush_completions();
-    {
-      std::vector<CoverChangeEvent> events;
-      {
-        MutexLock lock(&mu_);
-        events.swap(events_);
-      }
-      if (!events.empty()) deliver_events(std::move(events));
-    }
     heartbeat_and_idle();
     reap_connections();
     reap_http_connections();
@@ -312,19 +315,14 @@ void ProfilingServer::loop() {
       .add(-static_cast<std::int64_t>(http_conns_.size()));
   http_conns_.clear();
   http_listener_.close();
-  pending_jobs_.clear();
-  pending_updates_.clear();
 }
 
 bool ProfilingServer::drain_finished() {
   if (now() >= drain_deadline_) return true;
-  if (!pending_jobs_.empty() || !pending_updates_.empty()) return false;
-  {
-    MutexLock lock(&mu_);
-    if (!completions_.empty() || !events_.empty()) return false;
-  }
   for (const auto& [id, conn] : conns_) {
-    if (conn->out_pos < conn->out.size()) return false;
+    if (conn->out_pos < conn->out.size() || conn->inflight.inflight() != 0) {
+      return false;
+    }
   }
   return true;
 }
@@ -562,9 +560,7 @@ void ProfilingServer::handle_submit_discovery(Connection& c,
   SubmitDiscoveryMsg msg = SubmitDiscoveryMsg::decode(r);
   ProfileJob job = JobFromSubmit(msg, ctx);
   job.options.algorithm = msg.algorithm;
-  PendingJob pending;
-  pending.top_k = msg.top_k;
-  submit_job(c, frame, ctx, std::move(job), std::move(pending));
+  submit_job(c, frame, ctx, std::move(job), msg.top_k, nullptr);
 }
 
 void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
@@ -593,20 +589,19 @@ void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
     return;
   }
   ProfileJob job = JobFromSubmit(msg, ctx);
-  PendingJob pending;
-  pending.top_k = msg.top_k;
-  pending.is_query = true;
   // Route the discovery stage through the query engine; the ranked answer
   // lands in the slot once the handle finishes.
-  pending.query_slot = BindQueryToProfile(job.options, std::move(query));
+  std::shared_ptr<QueryResultSlot> slot =
+      BindQueryToProfile(job.options, std::move(query));
   // The full-profile tail stages add nothing to a query answer.
   job.options.canonicalize_and_rank = false;
-  submit_job(c, frame, ctx, std::move(job), std::move(pending));
+  submit_job(c, frame, ctx, std::move(job), msg.top_k, std::move(slot));
 }
 
 void ProfilingServer::submit_job(Connection& c, const Frame& frame,
                                  const TraceContext& ctx, ProfileJob job,
-                                 PendingJob pending) {
+                                 std::uint32_t top_k,
+                                 std::shared_ptr<QueryResultSlot> query) {
   // A job on a missing dataset could only fail; answer before it takes a
   // window slot or a scheduler slot.
   if (!datasets_->contains(job.dataset)) {
@@ -622,12 +617,22 @@ void ProfilingServer::submit_job(Connection& c, const Frame& frame,
     refuse(c, frame, ctx, "rejected", ErrCode::kServerBusy, handle->error());
     return;
   }
-  pending.conn_id = c.id;
-  pending.request_id = frame.request_id;
-  pending.started = now();
-  pending.handle = std::move(handle);
-  pending.want_trailer = ctx.trace_id != 0;
-  pending_jobs_.push_back(std::move(pending));
+  handle->on_finish([inbox = inbox_, done = new_completion(c, frame, ctx),
+                     top_k, query = std::move(query)](const JobHandle& h) mutable {
+    finish_job(h, top_k, query.get(), &done);
+    inbox->post(std::move(done));
+  });
+}
+
+ProfilingServer::Completion ProfilingServer::new_completion(
+    const Connection& c, const Frame& frame, const TraceContext& ctx) const {
+  Completion done;
+  done.conn_id = c.id;
+  done.started = now();
+  done.finish.rtype = RequestTypeName(frame.type);
+  done.finish.request_id = frame.request_id;
+  done.finish.trace_id = ctx.trace_id;
+  return done;
 }
 
 void ProfilingServer::run_on_ops_pool(Connection& c, const Frame& frame,
@@ -638,17 +643,12 @@ void ProfilingServer::run_on_ops_pool(Connection& c, const Frame& frame,
   // waits on them; the answer comes back through the completion queue. The
   // pool inherits the dispatch-time TraceIdScope, so spans inside the task
   // land on the client's trace.
-  Completion done;
-  done.conn_id = c.id;
-  done.started = now();
-  done.finish.rtype = RequestTypeName(frame.type);
-  done.finish.request_id = frame.request_id;
-  done.finish.trace_id = ctx.trace_id;
   Tracer& tracer = Tracer::Global();
   std::int64_t enq_us =
       (ctx.trace_id != 0 && tracer.enabled()) ? tracer.now_us() : 0;
-  bool submitted = ops_pool_.submit([this, done = std::move(done), on_throw,
-                                     enq_us, body = std::move(body)]() mutable {
+  bool submitted = ops_pool_.submit([this, done = new_completion(c, frame, ctx),
+                                     on_throw, enq_us,
+                                     body = std::move(body)]() mutable {
     RpcFinish& fin = done.finish;
     Tracer& tracer = Tracer::Global();
     if (enq_us != 0 && tracer.enabled()) {
@@ -679,11 +679,7 @@ void ProfilingServer::run_on_ops_pool(Connection& c, const Frame& frame,
       AppendCostTrailer(&done.frame, fin.request_id, fin.cost,
                         fin.queue_seconds, fin.run_seconds);
     }
-    {
-      MutexLock lock(&mu_);
-      completions_.push_back(std::move(done));
-    }
-    wake_.wake();
+    inbox_->post(std::move(done));
   });
   if (!submitted) {
     c.inflight.release();
@@ -746,6 +742,13 @@ void ProfilingServer::handle_apply_update(Connection& c, const Frame& frame,
                                           const TraceContext& ctx) {
   WireReader r(frame.payload);
   ApplyUpdateMsg msg = ApplyUpdateMsg::decode(r);
+  // Like a job, a batch for a missing dataset could only fail; answer
+  // before it takes a window slot.
+  if (!live_->contains(msg.dataset)) {
+    refuse(c, frame, ctx, "error", ErrCode::kUnknownDataset,
+           "no live dataset named '" + msg.dataset + "'");
+    return;
+  }
   if (!admit(c, frame, ctx)) return;
   UpdateJob job;
   job.dataset = msg.dataset;
@@ -754,10 +757,14 @@ void ProfilingServer::handle_apply_update(Connection& c, const Frame& frame,
   // The trace id rides the LiveStore strand: incr.queue_wait / incr.batch
   // spans and the resulting CoverChangeEvent all carry the client's id.
   job.trace_id = ctx.trace_id;
-  UpdateJobHandlePtr handle = live_->submit(std::move(job));
-  pending_updates_.push_back(PendingUpdate{c.id, frame.request_id, now(),
-                                           std::move(handle),
-                                           ctx.trace_id != 0});
+  live_->submit(std::move(job))
+      ->on_finish([inbox = inbox_, epoch = epoch_,
+                   done = new_completion(c, frame, ctx)](
+                      const UpdateJobHandle& h) mutable {
+        done.finish.run_seconds = SecondsSince(epoch) - done.started;
+        finish_update(h, &done);
+        inbox->post(std::move(done));
+      });
 }
 
 void ProfilingServer::handle_subscribe(Connection& c, const Frame& frame,
@@ -813,85 +820,51 @@ void ProfilingServer::end_subscription(Connection& c, std::uint64_t sub_id,
   send_frame(c, EncodeMsgFrame(MsgType::kStreamEnd, sub_id, end));
 }
 
-void ProfilingServer::sweep_pending() {
-  for (std::size_t i = 0; i < pending_jobs_.size();) {
-    if (!pending_jobs_[i].handle->finished()) {
-      ++i;
-      continue;
-    }
-    PendingJob job = std::move(pending_jobs_[i]);
-    pending_jobs_[i] = std::move(pending_jobs_.back());
-    pending_jobs_.pop_back();
-    finish_job(job);
-  }
-  for (std::size_t i = 0; i < pending_updates_.size();) {
-    if (!pending_updates_[i].handle->finished()) {
-      ++i;
-      continue;
-    }
-    PendingUpdate update = std::move(pending_updates_[i]);
-    pending_updates_[i] = std::move(pending_updates_.back());
-    pending_updates_.pop_back();
-    finish_update(update);
-  }
-}
-
-void ProfilingServer::finish_job(const PendingJob& job) {
-  auto it = conns_.find(job.conn_id);
-  if (it == conns_.end()) return;  // requester is gone; drop the answer
-  Connection& c = *it->second;
-  c.inflight.release();
-  double duration = now() - job.started;
-  m_request_seconds_.record(duration);
-
-  RpcFinish fin;
-  fin.rtype = RequestTypeName(job.is_query ? MsgType::kSubmitQuery
-                                           : MsgType::kSubmitDiscovery);
+void ProfilingServer::finish_job(const JobHandle& h, std::uint32_t top_k,
+                                 const QueryResultSlot* query,
+                                 Completion* done) {
+  RpcFinish& fin = done->finish;
+  // The trailer follows requests the client traced; the handle's trace id
+  // may also be one the scheduler minted for an untraced request.
+  const bool want_trailer = fin.trace_id != 0;
   fin.outcome = "ok";
-  fin.request_id = job.request_id;
-  fin.trace_id = job.handle->trace_id();
-  fin.queue_seconds = job.handle->queue_seconds();
-  fin.run_seconds = job.handle->run_seconds();
+  fin.trace_id = h.trace_id();
+  fin.queue_seconds = h.queue_seconds();
+  fin.run_seconds = h.run_seconds();
   fin.has_cost = true;
-  fin.cost = job.handle->cost();
+  fin.cost = h.cost();
 
-  JobState state = job.handle->state();
-  if (state == JobState::kFailed) {
-    std::string error = job.handle->error();
-    ErrCode code = error.find("invalid discovery query") != std::string::npos
-                       ? ErrCode::kBadRequest
-                       : ErrCode::kInternal;
+  if (h.state() == JobState::kFailed) {
     fin.outcome = "error";
-    record_rpc(c, fin, duration);
-    send_error(c, job.request_id, code, error);
+    ErrorMsg err{h.invalid_request() ? ErrCode::kBadRequest
+                                     : ErrCode::kInternal,
+                 h.error()};
+    done->frame = EncodeMsgFrame(MsgType::kError, fin.request_id, err);
     return;
   }
 
   // A cancelled or deadline-expired run still finishes with a (partial)
   // report; on the wire that distinction is the state string.
-  std::string wire_state = JobStateName(state);
   const ProfileReport* report = nullptr;
   try {
-    report = &job.handle->report();
-    if (report->cancelled) {
-      wire_state = "cancelled";
-    } else if (report->discovery.stats.timed_out) {
-      wire_state = "deadline_expired";
-    }
+    report = &h.report();
   } catch (const std::exception&) {
     // Cancelled before it started: no report, counts stay zero.
   }
-  if (wire_state == "cancelled") fin.outcome = "cancelled";
-  if (wire_state == "deadline_expired") fin.outcome = "deadline_expired";
+  const char* wire_state = "done";
+  if (h.state() == JobState::kCancelled) {
+    wire_state = fin.outcome = "cancelled";
+  } else if (report != nullptr && report->discovery.stats.timed_out) {
+    wire_state = fin.outcome = "deadline_expired";
+  }
 
-  std::vector<std::uint8_t> reply;
-  if (job.is_query) {
+  if (query != nullptr) {
     QueryResultMsg msg;
     msg.state = wire_state;
     msg.queue_seconds = fin.queue_seconds;
     msg.run_seconds = fin.run_seconds;
-    if (report != nullptr && job.query_slot->result.has_value()) {
-      const QueryResult& qr = *job.query_slot->result;
+    if (report != nullptr && query->result.has_value()) {
+      const QueryResult& qr = *query->result;
       msg.total = static_cast<std::uint32_t>(qr.fds.size());
       msg.early_terminated = qr.stats.early_terminated;
       msg.timed_out = qr.stats.timed_out;
@@ -904,7 +877,7 @@ void ProfilingServer::finish_job(const PendingJob& job) {
         msg.fds.push_back({f.fd.to_string(), static_cast<double>(f.score)});
       }
     }
-    reply = EncodeMsgFrame(MsgType::kQueryResult, job.request_id, msg);
+    done->frame = EncodeMsgFrame(MsgType::kQueryResult, fin.request_id, msg);
   } else {
     DiscoveryResultMsg msg;
     msg.state = wire_state;
@@ -913,63 +886,48 @@ void ProfilingServer::finish_job(const PendingJob& job) {
     if (report != nullptr) {
       msg.cover_size = static_cast<std::uint32_t>(report->discovery.fds.size());
       msg.canonical_size = static_cast<std::uint32_t>(report->canonical.size());
-      msg.top = TopRanked(report->ranking, job.top_k);
+      msg.top = TopRanked(report->ranking, top_k);
     }
-    reply = EncodeMsgFrame(MsgType::kDiscoveryResult, job.request_id, msg);
+    done->frame =
+        EncodeMsgFrame(MsgType::kDiscoveryResult, fin.request_id, msg);
   }
-  fin.cost.bytes_streamed += static_cast<std::int64_t>(reply.size());
-  if (job.want_trailer) {
+  fin.cost.bytes_streamed += static_cast<std::int64_t>(done->frame.size());
+  if (want_trailer) {
     // Any result frame (including cancelled / deadline_expired partials)
     // gets the trailer; only kError answers go bare, so a client reads the
     // trailer exactly when it got a result.
-    AppendCostTrailer(&reply, job.request_id, fin.cost, fin.queue_seconds,
-                      fin.run_seconds);
+    AppendCostTrailer(&done->frame, fin.request_id, fin.cost,
+                      fin.queue_seconds, fin.run_seconds);
   }
-  record_rpc(c, fin, duration);
-  send_frame(c, std::move(reply));
 }
 
-void ProfilingServer::finish_update(const PendingUpdate& update) {
-  auto it = conns_.find(update.conn_id);
-  if (it == conns_.end()) return;
-  Connection& c = *it->second;
-  c.inflight.release();
-  double duration = now() - update.started;
-  m_request_seconds_.record(duration);
-  RpcFinish fin;
-  fin.rtype = RequestTypeName(MsgType::kApplyUpdate);
+void ProfilingServer::finish_update(const UpdateJobHandle& h,
+                                    Completion* done) {
+  RpcFinish& fin = done->finish;
+  const bool want_trailer = fin.trace_id != 0;
   fin.outcome = "ok";
-  fin.request_id = update.request_id;
-  fin.trace_id = update.handle->trace_id();
-  fin.run_seconds = duration;
+  fin.trace_id = h.trace_id();
   fin.has_cost = true;
-  fin.cost = update.handle->cost();
-  if (update.handle->state() == UpdateJobState::kFailed) {
-    std::string error = update.handle->error();
-    ErrCode code = update.handle->invalid_batch() ? ErrCode::kBadRequest
-                   : error.find("unknown live dataset") != std::string::npos
-                       ? ErrCode::kUnknownDataset
-                       : ErrCode::kInternal;
+  fin.cost = h.cost();
+  if (h.state() == UpdateJobState::kFailed) {
     fin.outcome = "error";
-    record_rpc(c, fin, duration);
-    send_error(c, update.request_id, code, error);
+    ErrorMsg err{h.invalid_batch() ? ErrCode::kBadRequest : ErrCode::kInternal,
+                 h.error()};
+    done->frame = EncodeMsgFrame(MsgType::kError, fin.request_id, err);
     return;
   }
-  const CoverDelta& delta = update.handle->delta();
+  const CoverDelta& delta = h.delta();
   UpdateOkMsg msg;
   msg.fds_added = static_cast<std::uint32_t>(delta.added.size());
   msg.fds_removed = static_cast<std::uint32_t>(delta.removed.size());
   msg.rebuilt = delta.stats.rebuilt;
   msg.seconds = delta.stats.seconds;
-  std::vector<std::uint8_t> reply =
-      EncodeMsgFrame(MsgType::kUpdateOk, update.request_id, msg);
-  fin.cost.bytes_streamed += static_cast<std::int64_t>(reply.size());
-  if (update.want_trailer) {
-    AppendCostTrailer(&reply, update.request_id, fin.cost, fin.queue_seconds,
-                      fin.run_seconds);
+  done->frame = EncodeMsgFrame(MsgType::kUpdateOk, fin.request_id, msg);
+  fin.cost.bytes_streamed += static_cast<std::int64_t>(done->frame.size());
+  if (want_trailer) {
+    AppendCostTrailer(&done->frame, fin.request_id, fin.cost,
+                      fin.queue_seconds, fin.run_seconds);
   }
-  record_rpc(c, fin, duration);
-  send_frame(c, std::move(reply));
 }
 
 void ProfilingServer::deliver_events(std::vector<CoverChangeEvent> events) {
@@ -1037,9 +995,11 @@ void ProfilingServer::deliver_events(std::vector<CoverChangeEvent> events) {
 
 void ProfilingServer::flush_completions() {
   std::vector<Completion> completions;
+  std::vector<CoverChangeEvent> events;
   {
-    MutexLock lock(&mu_);
-    completions.swap(completions_);
+    MutexLock lock(&inbox_->mu);
+    completions.swap(inbox_->completions);
+    events.swap(inbox_->events);
   }
   for (Completion& done : completions) {
     auto it = conns_.find(done.conn_id);
@@ -1053,6 +1013,8 @@ void ProfilingServer::flush_completions() {
     record_rpc(c, done.finish, duration);
     send_frame(c, std::move(done.frame));
   }
+  // After the answers, so an update's reply precedes its cover delta.
+  if (!events.empty()) deliver_events(std::move(events));
 }
 
 void ProfilingServer::heartbeat_and_idle() {
@@ -1139,10 +1101,13 @@ void ProfilingServer::mark_dead(Connection& c) {
 void ProfilingServer::reap_connections() {
   // The single place dead or fully-drained closing connections are erased:
   // once per tick, with no conns_ iteration active and no Connection
-  // reference live on the stack.
+  // reference live on the stack. A closing connection first gets every
+  // answer it is owed.
   std::vector<std::uint64_t> done;
   for (const auto& [id, conn] : conns_) {
-    if (conn->dead || (conn->closing && conn->out_pos >= conn->out.size())) {
+    if (conn->dead ||
+        (conn->closing && conn->out_pos >= conn->out.size() &&
+         conn->inflight.inflight() == 0)) {
       done.push_back(id);
     }
   }
@@ -1387,8 +1352,8 @@ void ProfilingServer::drop_connection(std::uint64_t conn_id, const char*) {
   metrics_->counter(kObsNetConnsClosed).inc();
   metrics_->gauge(kObsNetConnections).add(-1);
   conns_.erase(it);
-  // Pending jobs for this connection stay in the sweep lists; their answers
-  // are dropped when they complete (finish_* finds no connection).
+  // Answers still in flight for this connection are dropped on arrival
+  // (flush_completions finds no connection).
 }
 
 }  // namespace dhyfd::net

@@ -102,6 +102,11 @@ struct ServerOptions {
 ///   kApplyUpdate     -> LiveStore strand submit
 ///   kSubscribe       -> LiveStore cover-change listener, credit-windowed
 ///
+/// Every answer produced off the loop takes one path back: the ops-pool
+/// task or the job/update handle's on_finish continuation builds the reply
+/// and posts a Completion to the Inbox, which wakes the loop, and
+/// flush_completions() delivers it. Nothing is polled.
+///
 /// Robustness posture (DESIGN.md "Network service"):
 ///   * bounded everything — accept backlog, connection count, per-client
 ///     in-flight windows and rate quotas, scheduler max_pending backstop,
@@ -109,8 +114,9 @@ struct ServerOptions {
 ///   * protocol errors drop the connection, they are never parsed around;
 ///   * slow consumers are disconnected (credit overflow or write-buffer
 ///     overflow), so one stalled client cannot starve the rest;
-///   * shutdown() drains: StreamEnd to subscribers, in-flight answers
-///     flushed, then sockets close.
+///   * shutdown() drains: StreamEnd to subscribers, then each connection
+///     closes once every request it has in flight is answered and its
+///     output is flushed (or drain_seconds pass).
 ///
 /// Observability: net.* counters/gauges/histograms into the shared
 /// MetricsRegistry (so they ride the existing Prometheus exposition),
@@ -171,7 +177,8 @@ class ProfilingServer {
     double last_recv = 0;
     double last_send = 0;
     bool got_hello = false;
-    /// Flush the outbound buffer, then close (goodbye / stream-end paths).
+    /// Answer what is in flight, flush the outbound buffer, then close
+    /// (goodbye, stream-end and drain paths).
     bool closing = false;
     /// The socket failed mid-write (peer reset, buffer overflow). The
     /// Connection must NOT be erased from conns_ at the point of failure:
@@ -211,30 +218,6 @@ class ProfilingServer {
     bool dead = false;
   };
 
-  /// An RPC whose answer comes from a service-layer handle the loop sweeps.
-  struct PendingJob {
-    std::uint64_t conn_id = 0;
-    std::uint64_t request_id = 0;
-    std::uint32_t top_k = 0;
-    double started = 0;
-    JobHandlePtr handle;
-    /// True for kSubmitQuery jobs: the answer is a kQueryResult frame built
-    /// from query_slot instead of a kDiscoveryResult.
-    bool is_query = false;
-    /// Set for kSubmitQuery jobs: BindQueryToProfile routes the job's
-    /// discovery stage through the query engine and parks the ranked
-    /// answer here; safe to read once handle->finished() is true.
-    std::shared_ptr<QueryResultSlot> query_slot;
-    /// The request arrived traced: successful answers get a kCostTrailer.
-    bool want_trailer = false;
-  };
-  struct PendingUpdate {
-    std::uint64_t conn_id = 0;
-    std::uint64_t request_id = 0;
-    double started = 0;
-    UpdateJobHandlePtr handle;
-    bool want_trailer = false;
-  };
   /// RPC telemetry computed off-loop, applied on the loop thread where the
   /// slow ring, tracez ring, and tenant aggregation live. rtype is a
   /// RequestTypeName label.
@@ -248,14 +231,30 @@ class ProfilingServer {
     bool has_cost = false;
     CostLedger cost;
   };
-  /// An ops-pool request's answer (reply frame, plus its cost trailer
-  /// when traced), delivered through the completion queue + wake pipe.
-  /// Delivery releases the request's in-flight slot.
+  /// An admitted request's answer (reply frame, plus its cost trailer
+  /// when traced), built off the loop and posted to the Inbox. Delivery
+  /// releases the request's in-flight slot.
   struct Completion {
     std::uint64_t conn_id = 0;
     std::vector<std::uint8_t> frame;
     double started = 0;   // request start time
     RpcFinish finish;
+  };
+  /// Answers and cover-change events posted from other threads; each post
+  /// wakes the loop. Shared-owned by the server and every poster, so one
+  /// that fires after the server is gone (a job the scheduler runs during
+  /// its own shutdown, a listener call racing unsubscribe()) is dropped.
+  struct Inbox {
+    Mutex mu;
+    std::vector<Completion> completions DHYFD_GUARDED_BY(mu);
+    std::vector<CoverChangeEvent> events DHYFD_GUARDED_BY(mu);
+    /// Set when the loop is gone; later posts are dropped.
+    bool closed DHYFD_GUARDED_BY(mu) = false;
+    WakePipe wake;
+
+    void post(Completion done) DHYFD_EXCLUDES(mu);
+    void post(CoverChangeEvent event) DHYFD_EXCLUDES(mu);
+    void close() DHYFD_EXCLUDES(mu);
   };
   /// Runs on an ops-pool thread: writes the reply frame for `request_id`
   /// into *reply and returns whether the request succeeded.
@@ -292,15 +291,25 @@ class ProfilingServer {
   bool admit(Connection& c, const Frame& frame, const TraceContext& ctx);
   /// Submits a discovery or query job: unknown datasets are refused, then
   /// the job takes a window slot and a scheduler slot (kServerBusy when
-  /// the scheduler's queue is full) and joins the sweep list.
+  /// the scheduler's queue is full). Its continuation posts the answer;
+  /// `query` is set for kSubmitQuery jobs (see BindQueryToProfile).
   void submit_job(Connection& c, const Frame& frame, const TraceContext& ctx,
-                  ProfileJob job, PendingJob pending);
+                  ProfileJob job, std::uint32_t top_k,
+                  std::shared_ptr<QueryResultSlot> query);
   /// Takes a window slot and runs `body` on the ops pool: queue-wait span,
   /// cost ledger, cost trailer on success, completion and wake. A throwing
   /// body answers kError(on_throw).
   void run_on_ops_pool(Connection& c, const Frame& frame,
                        const TraceContext& ctx, ErrCode on_throw,
                        OpsBody body);
+  /// An admitted request's Completion, before its reply is built.
+  Completion new_completion(const Connection& c, const Frame& frame,
+                            const TraceContext& ctx) const;
+  /// Reply builders, run on the thread that finished the handle: fill
+  /// done->frame (plus a cost trailer for a traced result) and done->finish.
+  static void finish_job(const JobHandle& h, std::uint32_t top_k,
+                         const QueryResultSlot* query, Completion* done);
+  static void finish_update(const UpdateJobHandle& h, Completion* done);
 
   void handle_submit_discovery(Connection& c, const Frame& frame,
                                const TraceContext& ctx);
@@ -316,8 +325,10 @@ class ProfilingServer {
                         const TraceContext& ctx);
   void handle_credit(Connection& c, const Frame& frame);
   void handle_unsubscribe(Connection& c, const Frame& frame);
-  void sweep_pending();
   void deliver_events(std::vector<CoverChangeEvent> events);
+  /// Takes everything posted to the inbox: delivers the answers (the one
+  /// place an in-flight slot is released and an answered RPC is recorded),
+  /// then fans the cover-change events out to subscribers.
   void flush_completions();
   void heartbeat_and_idle();
   void send_frame(Connection& c, std::vector<std::uint8_t> frame);
@@ -329,9 +340,9 @@ class ProfilingServer {
   void mark_dead(Connection& c);
   void reap_connections();
   void flush_writes(Connection& c);
+  /// Past the drain deadline, or no connection has output or requests in
+  /// flight.
   bool drain_finished();
-  void finish_job(const PendingJob& job);
-  void finish_update(const PendingUpdate& update);
 
   // Per-RPC telemetry (loop thread only): latency histograms by
   // type x outcome, slow/tracez rings, tenant cost aggregation.
@@ -359,7 +370,7 @@ class ProfilingServer {
 
   Socket listener_;
   std::uint16_t port_ = 0;
-  WakePipe wake_;
+  const std::shared_ptr<Inbox> inbox_;
   /// Blocking service calls (CSV parse/encode, initial live discovery,
   /// ranking snapshots) run here so the event loop never waits on them.
   ThreadPool ops_pool_;
@@ -369,8 +380,6 @@ class ProfilingServer {
   // Loop-thread-only state (no locks: single owner).
   std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::uint64_t next_conn_id_ = 1;
-  std::vector<PendingJob> pending_jobs_;
-  std::vector<PendingUpdate> pending_updates_;
   bool draining_ = false;
   double drain_deadline_ = 0;
 
@@ -411,11 +420,9 @@ class ProfilingServer {
   std::vector<std::tuple<const char*, const char*, Histogram*>>
       rpc_hist_cache_;
 
-  // Cross-thread state.
+  // Cross-thread state: set by shutdown(), read by the loop each tick.
   mutable Mutex mu_;
   bool stop_requested_ DHYFD_GUARDED_BY(mu_) = false;
-  std::vector<Completion> completions_ DHYFD_GUARDED_BY(mu_);
-  std::vector<CoverChangeEvent> events_ DHYFD_GUARDED_BY(mu_);
 
   /// Serializes the shutdown body: exactly one caller joins the loop thread
   /// and tears down (unsubscribe, ops pool); concurrent or repeat callers

@@ -113,6 +113,14 @@ std::uint32_t CurrentTraceTid();
 /// (0 when none). Propagated by ThreadPool/JobScheduler/LiveStore.
 std::uint64_t CurrentTraceId();
 
+/// Synthetic Chrome-trace lane for spans that start on one thread and end
+/// on another (queue waits, server-side request envelopes). Drawn on a real
+/// worker lane they would overlap that worker's previous task and render as
+/// bogus nesting; one lane per trace id keeps a request on one visual row.
+inline std::uint32_t TraceLane(std::uint64_t trace_id) {
+  return 900000u + static_cast<std::uint32_t>(trace_id % 100000);
+}
+
 /// RAII: installs `id` as the calling thread's current trace id, restoring
 /// the previous one on destruction.
 class TraceIdScope {

@@ -1,7 +1,7 @@
 #include "service/job.h"
 
-#include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace dhyfd {
 
@@ -38,17 +38,31 @@ void JobHandle::wait() const {
   while (!finished_locked()) done_cv_.wait(lock);
 }
 
-bool JobHandle::wait_for(double seconds) const {
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(seconds));
-  MutexLock lock(&mu_);
-  while (!finished_locked()) {
-    if (done_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return finished_locked();
+void JobHandle::on_finish(std::function<void(const JobHandle&)> fn) {
+  {
+    MutexLock lock(&mu_);
+    if (!finished_locked()) {
+      on_finish_ = std::move(fn);
+      return;
     }
   }
-  return true;
+  fn(*this);
+}
+
+void JobHandle::finish(Outcome outcome) {
+  std::function<void(const JobHandle&)> then;
+  {
+    MutexLock lock(&mu_);
+    state_ = outcome.state;
+    report_ = std::move(outcome.report);
+    error_ = std::move(outcome.error);
+    invalid_request_ = outcome.invalid_request;
+    run_seconds_ = outcome.run_seconds;
+    cost_ = outcome.cost;
+    then = std::exchange(on_finish_, nullptr);
+  }
+  done_cv_.notify_all();
+  if (then) then(*this);
 }
 
 const ProfileReport& JobHandle::report() const {
@@ -56,7 +70,7 @@ const ProfileReport& JobHandle::report() const {
   while (!finished_locked()) done_cv_.wait(lock);
   // Terminal state is sticky and report_ is never written again, so the
   // reference stays valid after the lock is dropped.
-  if (has_report_) return report_;
+  if (report_.has_value()) return *report_;
   if (state_ == JobState::kFailed) {
     throw std::runtime_error("profile job failed: " + error_);
   }
@@ -66,6 +80,11 @@ const ProfileReport& JobHandle::report() const {
 std::string JobHandle::error() const {
   MutexLock lock(&mu_);
   return error_;
+}
+
+bool JobHandle::invalid_request() const {
+  MutexLock lock(&mu_);
+  return invalid_request_;
 }
 
 double JobHandle::queue_seconds() const {

@@ -2,7 +2,9 @@
 #define DHYFD_SERVICE_JOB_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/profiler.h"
@@ -59,8 +61,12 @@ class JobHandle {
 
   /// Blocks until the job reaches a terminal state.
   void wait() const DHYFD_EXCLUDES(mu_);
-  /// Like wait(), with a timeout; false if still unfinished after it.
-  bool wait_for(double seconds) const DHYFD_EXCLUDES(mu_);
+
+  /// Runs `fn` once the job is terminal: on the thread that finishes it,
+  /// after waiters are woken, or at once on the caller when the job already
+  /// is terminal. One continuation per handle.
+  void on_finish(std::function<void(const JobHandle&)> fn)
+      DHYFD_EXCLUDES(mu_);
 
   /// The pipeline's output; valid for kDone, and for kCancelled jobs that
   /// were stopped mid-run (partial: stages after the cancellation point are
@@ -70,6 +76,10 @@ class JobHandle {
 
   /// Error message for kFailed jobs ("" otherwise).
   std::string error() const DHYFD_EXCLUDES(mu_);
+
+  /// True for a kFailed job whose pipeline threw std::invalid_argument (e.g.
+  /// a query spec wider than the schema): a client error, not a server one.
+  bool invalid_request() const DHYFD_EXCLUDES(mu_);
 
   /// True for jobs the scheduler refused at admission because its
   /// max_pending bound was full (always kFailed; see SchedulerOptions).
@@ -95,6 +105,20 @@ class JobHandle {
   JobHandle(std::uint64_t id, ProfileJob job)
       : id_(id), job_(std::move(job)) {}
 
+  /// What a job ended with; `report` is set for runs that produced one.
+  struct Outcome {
+    JobState state = JobState::kFailed;
+    std::optional<ProfileReport> report;
+    std::string error;
+    bool invalid_request = false;
+    double run_seconds = 0;
+    CostLedger cost;
+  };
+
+  /// The one terminal transition (refused, reclaimed, cancelled in the
+  /// queue, executed): records `outcome`, wakes waiters, runs on_finish.
+  void finish(Outcome outcome) DHYFD_EXCLUDES(mu_);
+
   /// True for kDone / kFailed / kCancelled.
   bool finished_locked() const DHYFD_REQUIRES(mu_);
 
@@ -111,12 +135,13 @@ class JobHandle {
   mutable Mutex mu_;
   mutable CondVar done_cv_;
   JobState state_ DHYFD_GUARDED_BY(mu_) = JobState::kQueued;
-  bool has_report_ DHYFD_GUARDED_BY(mu_) = false;
-  ProfileReport report_ DHYFD_GUARDED_BY(mu_);
+  std::optional<ProfileReport> report_ DHYFD_GUARDED_BY(mu_);
   std::string error_ DHYFD_GUARDED_BY(mu_);
+  bool invalid_request_ DHYFD_GUARDED_BY(mu_) = false;
   double queue_seconds_ DHYFD_GUARDED_BY(mu_) = 0;
   double run_seconds_ DHYFD_GUARDED_BY(mu_) = 0;
   CostLedger cost_ DHYFD_GUARDED_BY(mu_);
+  std::function<void(const JobHandle&)> on_finish_ DHYFD_GUARDED_BY(mu_);
 };
 
 using JobHandlePtr = std::shared_ptr<JobHandle>;

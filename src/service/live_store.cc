@@ -18,27 +18,36 @@ UpdateJobState UpdateJobHandle::state() const {
   return state_;
 }
 
-bool UpdateJobHandle::finished() const {
-  MutexLock lock(&mu_);
-  return terminal_locked();
-}
-
 void UpdateJobHandle::wait() const {
   MutexLock lock(&mu_);
   while (!terminal_locked()) done_cv_.wait(lock);
 }
 
-bool UpdateJobHandle::wait_for(double seconds) const {
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(seconds));
-  MutexLock lock(&mu_);
-  while (!terminal_locked()) {
-    if (done_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      return terminal_locked();
+void UpdateJobHandle::on_finish(std::function<void(const UpdateJobHandle&)> fn) {
+  {
+    MutexLock lock(&mu_);
+    if (!terminal_locked()) {
+      on_finish_ = std::move(fn);
+      return;
     }
   }
-  return true;
+  fn(*this);
+}
+
+void UpdateJobHandle::finish(CoverDelta delta, std::string error,
+                             bool invalid_batch, CostLedger cost) {
+  std::function<void(const UpdateJobHandle&)> then;
+  {
+    MutexLock lock(&mu_);
+    state_ = error.empty() ? UpdateJobState::kDone : UpdateJobState::kFailed;
+    delta_ = std::move(delta);
+    error_ = std::move(error);
+    invalid_batch_ = invalid_batch;
+    cost_ = cost;
+    then = std::exchange(on_finish_, nullptr);
+  }
+  done_cv_.notify_all();
+  if (then) then(*this);
 }
 
 const CoverDelta& UpdateJobHandle::delta() const {
@@ -117,11 +126,7 @@ UpdateJobHandlePtr LiveStore::failed_handle(std::uint64_t id, UpdateJob job,
                                             std::string error) {
   UpdateJobHandlePtr h(new UpdateJobHandle(id, std::move(job.dataset),
                                            std::move(job.batch)));
-  // The handle has not escaped yet, but taking its lock keeps the write
-  // provable instead of "safe by publication order".
-  MutexLock lock(&h->mu_);
-  h->state_ = UpdateJobState::kFailed;
-  h->error_ = std::move(error);
+  h->finish({}, std::move(error), /*invalid_batch=*/false, {});
   return h;
 }
 
@@ -202,12 +207,8 @@ void LiveStore::run_job(const std::shared_ptr<Entry>& entry,
 
   Tracer& tracer = Tracer::Global();
   if (h->trace_id_ != 0 && h->submit_ts_us_ != 0 && tracer.enabled()) {
-    // Synthetic per-job lane; see JobScheduler::run_one for why queue-wait
-    // spans cannot live on a worker's real lane.
-    std::uint32_t lane =
-        900000u + static_cast<std::uint32_t>(h->trace_id_ % 100000);
     tracer.record_span(kObsIncrQueueWait, h->trace_id_, h->submit_ts_us_,
-                       tracer.now_us(), lane);
+                       tracer.now_us(), TraceLane(h->trace_id_));
   }
 
   CoverDelta delta;
@@ -250,26 +251,13 @@ void LiveStore::run_job(const std::shared_ptr<Entry>& entry,
     event.stats = delta.stats;
     event.trace_id = h->trace_id_;
 
-    {
-      MutexLock lock(&h->mu_);
-      h->delta_ = std::move(delta);
-      h->cost_ = cost;
-      h->state_ = UpdateJobState::kDone;
-    }
-    h->done_cv_.notify_all();
+    h->finish(std::move(delta), {}, /*invalid_batch=*/false, cost);
     // Listeners fire after the handle commits but still on the strand, so
     // one dataset's events arrive in batch order.
     notify(event);
   } else {
     metrics_->counter(kObsIncrJobsFailed).inc();
-    {
-      MutexLock lock(&h->mu_);
-      h->error_ = std::move(error);
-      h->invalid_batch_ = invalid_batch;
-      h->cost_ = cost;
-      h->state_ = UpdateJobState::kFailed;
-    }
-    h->done_cv_.notify_all();
+    h->finish({}, std::move(error), invalid_batch, cost);
   }
 
   {

@@ -43,9 +43,12 @@ class UpdateJobHandle {
   const std::string& dataset() const { return dataset_; }
 
   UpdateJobState state() const DHYFD_EXCLUDES(mu_);
-  bool finished() const DHYFD_EXCLUDES(mu_);
   void wait() const DHYFD_EXCLUDES(mu_);
-  bool wait_for(double seconds) const DHYFD_EXCLUDES(mu_);
+
+  /// As JobHandle::on_finish; runs before cover-change listeners hear of
+  /// the batch.
+  void on_finish(std::function<void(const UpdateJobHandle&)> fn)
+      DHYFD_EXCLUDES(mu_);
 
   /// The batch's cover delta; throws std::runtime_error for kFailed.
   /// Blocks until terminal.
@@ -70,6 +73,11 @@ class UpdateJobHandle {
   UpdateJobHandle(std::uint64_t id, std::string dataset, UpdateBatch batch)
       : id_(id), dataset_(std::move(dataset)), batch_(std::move(batch)) {}
 
+  /// The one terminal transition (refused, applied, failed); `error` empty
+  /// means kDone with `delta`. Wakes waiters, then runs on_finish.
+  void finish(CoverDelta delta, std::string error, bool invalid_batch,
+              CostLedger cost) DHYFD_EXCLUDES(mu_);
+
   /// True for kDone / kFailed.
   bool terminal_locked() const DHYFD_REQUIRES(mu_) {
     return state_ == UpdateJobState::kDone || state_ == UpdateJobState::kFailed;
@@ -90,6 +98,7 @@ class UpdateJobHandle {
   std::string error_ DHYFD_GUARDED_BY(mu_);
   bool invalid_batch_ DHYFD_GUARDED_BY(mu_) = false;
   CostLedger cost_ DHYFD_GUARDED_BY(mu_);
+  std::function<void(const UpdateJobHandle&)> on_finish_ DHYFD_GUARDED_BY(mu_);
 };
 
 using UpdateJobHandlePtr = std::shared_ptr<UpdateJobHandle>;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -60,10 +61,7 @@ JobHandlePtr JobScheduler::submit(ProfileJob job) {
       handle->submit_ts_us_ = tracer.now_us();
     }
     if (shutdown_) {
-      MutexLock hlock(&handle->mu_);
-      handle->state_ = JobState::kFailed;
-      handle->error_ = "scheduler is shut down";
-      handle->done_cv_.notify_all();
+      handle->finish({.error = "scheduler is shut down"});
       return handle;
     }
     if (max_pending_ > 0 && pending_.size() >= max_pending_) {
@@ -71,11 +69,8 @@ JobHandlePtr JobScheduler::submit(ProfileJob job) {
       // blocking the caller, which may be a server's event loop).
       handle->rejected_ = true;
       metrics_->counter(kObsJobsRejected).inc();
-      MutexLock hlock(&handle->mu_);
-      handle->state_ = JobState::kFailed;
-      handle->error_ = "job queue full (" + std::to_string(pending_.size()) +
-                       " pending)";
-      handle->done_cv_.notify_all();
+      handle->finish({.error = "job queue full (" +
+                               std::to_string(pending_.size()) + " pending)"});
       return handle;
     }
     // Lock order: mu_, then each handle's mu_ inside finished().
@@ -96,18 +91,18 @@ JobHandlePtr JobScheduler::submit(ProfileJob job) {
 }
 
 void JobScheduler::reclaim_pending() {
-  MutexLock lock(&mu_);
-  while (!pending_.empty()) {
-    JobHandlePtr handle = pending_.top();
-    pending_.pop();
-    MutexLock hlock(&handle->mu_);
-    if (handle->state_ == JobState::kQueued) {
-      handle->state_ = JobState::kCancelled;
-      metrics_->counter(kObsJobsCancelled).inc();
-      handle->done_cv_.notify_all();
-    }
+  // A job still in pending_ was never popped by run_one, so it is queued.
+  // Continuations run outside mu_.
+  std::vector<JobHandlePtr> reclaimed;
+  {
+    MutexLock lock(&mu_);
+    for (; !pending_.empty(); pending_.pop()) reclaimed.push_back(pending_.top());
+    metrics_->gauge(kObsJobsQueued).set(0);
   }
-  metrics_->gauge(kObsJobsQueued).set(0);
+  for (const JobHandlePtr& handle : reclaimed) {
+    metrics_->counter(kObsJobsCancelled).inc();
+    handle->finish({.state = JobState::kCancelled});
+  }
 }
 
 void JobScheduler::run_one() {
@@ -120,35 +115,29 @@ void JobScheduler::run_one() {
     metrics_->gauge(kObsJobsQueued).set(static_cast<std::int64_t>(pending_.size()));
   }
 
-  bool cancelled_in_queue = false;
+  bool cancelled_in_queue = handle->cancel_token_.cancelled();
   {
     MutexLock hlock(&handle->mu_);
     handle->queue_seconds_ = handle->queue_timer_.seconds();
-    if (handle->cancel_token_.cancelled()) {
-      handle->state_ = JobState::kCancelled;
-      metrics_->counter(kObsJobsCancelled).inc();
-      handle->done_cv_.notify_all();
-      cancelled_in_queue = true;
-    } else {
-      handle->state_ = JobState::kRunning;
-    }
+    if (!cancelled_in_queue) handle->state_ = JobState::kRunning;
   }
   Tracer& tracer = Tracer::Global();
   if (handle->trace_id_ != 0 && handle->submit_ts_us_ != 0 &&
       tracer.enabled()) {
-    // Queue-wait spans started on the submitter and ended on the worker, so
-    // each gets its own synthetic lane: drawn on a real worker lane they
-    // would overlap that worker's previous job and render as bogus nesting.
-    std::uint32_t lane =
-        900000u + static_cast<std::uint32_t>(handle->trace_id_ % 100000);
+    // Queue-wait spans start on the submitter and end on the worker.
     tracer.record_span(kObsSvcQueueWait, handle->trace_id_,
-                       handle->submit_ts_us_, tracer.now_us(), lane);
+                       handle->submit_ts_us_, tracer.now_us(),
+                       TraceLane(handle->trace_id_));
     if (cancelled_in_queue) {
       tracer.record(TraceEvent{kObsSvcJobCancelled, 'i', handle->trace_id_,
                                tracer.now_us(), 0, 0, 0});
     }
   }
-  if (cancelled_in_queue) return;
+  if (cancelled_in_queue) {
+    metrics_->counter(kObsJobsCancelled).inc();
+    handle->finish({.state = JobState::kCancelled});
+    return;
+  }
   metrics_->histogram(kObsJobsQueueSeconds).record(handle->queue_seconds());
   metrics_->gauge(kObsJobsRunning).add(1);
   execute(handle);
@@ -177,10 +166,7 @@ void JobScheduler::execute(const JobHandlePtr& handle) {
   };
 
   Timer run_timer;
-  ProfileReport report;
-  std::string error;
-  bool failed = false;
-  CostLedger cost;
+  JobHandle::Outcome outcome;
   {
     // The worker runs under the job's trace id, with a per-job sink feeding
     // algorithm counters into the metrics registry and the trace, and a cost
@@ -190,42 +176,38 @@ void JobScheduler::execute(const JobHandlePtr& handle) {
     TraceIdScope trace_scope(handle->trace_id_);
     TelemetrySink sink(metrics_, handle->trace_id_);
     ObsScope obs_scope(&sink);
-    CostLedgerScope cost_scope(&cost);
+    CostLedgerScope cost_scope(&outcome.cost);
     TraceSpan run_span(kObsSvcJobRun);
     CancelScope scope(&handle->cancel_token_);
     try {
       std::shared_ptr<const Relation> relation =
           datasets_->get(handle->job_.dataset, options.semantics);
-      report = Profiler(options).profile(*relation);
+      outcome.report = Profiler(options).profile(*relation);
+      outcome.state = handle->cancel_token_.cancelled() ? JobState::kCancelled
+                                                        : JobState::kDone;
+      outcome.report->cancelled = outcome.state == JobState::kCancelled;
+    } catch (const std::invalid_argument& e) {
+      outcome.error = e.what();
+      outcome.invalid_request = true;
     } catch (const std::exception& e) {
-      failed = true;
-      error = e.what();
+      outcome.error = e.what();
     } catch (...) {
-      failed = true;
-      error = "unknown exception";
+      outcome.error = "unknown exception";
     }
   }
-  double run_seconds = run_timer.seconds();
+  outcome.run_seconds = run_timer.seconds();
 
-  JobState final_state;
-  if (failed) {
-    final_state = JobState::kFailed;
-  } else if (handle->cancel_token_.cancelled()) {
-    final_state = JobState::kCancelled;
-  } else {
-    final_state = JobState::kDone;
-  }
   Tracer& tracer = Tracer::Global();
   if (handle->trace_id_ != 0 && tracer.enabled() &&
-      final_state == JobState::kCancelled) {
+      outcome.state == JobState::kCancelled) {
     tracer.record(TraceEvent{kObsSvcJobCancelled, 'i', handle->trace_id_,
                              tracer.now_us(), 0, 0, 0});
   }
 
   // Metrics are finalized before the handle turns terminal, so a thread
   // returning from wait()/wait_all() always sees consistent counts.
-  metrics_->histogram(kObsJobsRunSeconds).record(run_seconds);
-  switch (final_state) {
+  metrics_->histogram(kObsJobsRunSeconds).record(outcome.run_seconds);
+  switch (outcome.state) {
     case JobState::kDone:
       metrics_->counter(kObsJobsCompleted).inc();
       break;
@@ -237,26 +219,12 @@ void JobScheduler::execute(const JobHandlePtr& handle) {
       break;
     case JobState::kQueued:
     case JobState::kRunning:
-      // Unreachable: final_state is computed above from the terminal
-      // outcome of a job that just finished executing.
+      // Unreachable: the outcome of a job that just finished executing is
+      // terminal.
       break;
   }
   metrics_->gauge(kObsJobsRunning).add(-1);
-
-  {
-    MutexLock hlock(&handle->mu_);
-    handle->state_ = final_state;
-    handle->run_seconds_ = run_seconds;
-    handle->cost_ = cost;
-    if (failed) {
-      handle->error_ = error;
-    } else {
-      report.cancelled = final_state == JobState::kCancelled;
-      handle->report_ = std::move(report);
-      handle->has_report_ = true;
-    }
-    handle->done_cv_.notify_all();
-  }
+  handle->finish(std::move(outcome));
 }
 
 void JobScheduler::shutdown() {

@@ -169,6 +169,31 @@ TEST(LiveStoreTest, CoverStaysFreshUnderConcurrentReaders) {
   EXPECT_FALSE(served.empty());
 }
 
+TEST(LiveStoreTest, OnFinishRunsOnceForAppliedAndRefusedBatches) {
+  MetricsRegistry metrics;
+  LiveStore store(&metrics, 1);
+  store.create("t", Table(0, 20));
+  std::atomic<int> done{0};
+  std::atomic<int> failed{0};
+  auto count = [&](const UpdateJobHandle& h) {
+    (h.state() == UpdateJobState::kDone ? done : failed).fetch_add(1);
+  };
+
+  store.submit({"nope", UpdateBatch{}})->on_finish(count);  // at once
+  EXPECT_EQ(failed.load(), 1);
+  UpdateBatch good;
+  good.inserts.push_back(Row(100));
+  store.submit({"t", good})->on_finish(count);
+  UpdateBatch bad;
+  bad.inserts.push_back({"too-short"});
+  UpdateJobHandlePtr refused = store.submit({"t", bad});
+  refused->on_finish(count);
+  store.shutdown();  // joins the strand worker, so continuations have run
+  EXPECT_EQ(done.load(), 1);
+  EXPECT_EQ(failed.load(), 2);
+  EXPECT_TRUE(refused->invalid_batch());
+}
+
 TEST(LiveStoreTest, SubmitAfterShutdownFails) {
   MetricsRegistry metrics;
   LiveStore store(&metrics, 1);

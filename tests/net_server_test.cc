@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -35,7 +36,7 @@ struct Stack {
     server->start();
   }
   ~Stack() {
-    server->shutdown();
+    if (server) server->shutdown();
     live->shutdown();
     scheduler->shutdown();
   }
@@ -320,6 +321,18 @@ TEST(NetServerTest, UnknownDatasetErrors) {
   } catch (const RpcError& e) {
     EXPECT_EQ(e.code(), ErrCode::kUnknownDataset);
   }
+  // Update batches are refused at admission too: the live store never sees
+  // them, so they count as no failed update job.
+  ApplyUpdateMsg update;
+  update.dataset = "missing";
+  update.deletes = {0};
+  try {
+    client.apply_update(update);
+    FAIL() << "expected RpcError";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.code(), ErrCode::kUnknownDataset);
+  }
+  EXPECT_EQ(stack.metrics.counter("incr.jobs_failed").value(), 0);
 }
 
 TEST(NetServerTest, ConcurrentClientsAllGetAnswers) {
@@ -463,6 +476,41 @@ TEST(NetServerTest, InflightWindowRejectsPipelinedExcess) {
   }
 }
 
+/// Holds a scheduler's workers: every job carrying stage_hook() blocks at
+/// its first stage boundary until release().
+class WorkerGate {
+ public:
+  std::function<void(ProfileStage, double)> stage_hook() {
+    return [this](ProfileStage, double) {
+      std::unique_lock<std::mutex> lock(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    };
+  }
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void release() {
+    std::unique_lock<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+void WaitForCount(const Counter& counter, std::int64_t at_least) {
+  while (counter.value() < at_least) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(NetServerTest, SchedulerBackstopAnswersServerBusy) {
   SchedulerOptions sched;
   sched.num_threads = 1;
@@ -473,23 +521,12 @@ TEST(NetServerTest, SchedulerBackstopAnswersServerBusy) {
 
   // Deterministically occupy the single worker: a directly-submitted job
   // whose stage hook blocks until we let go.
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool release = false;
-  bool entered = false;
+  WorkerGate gate;
   ProfileJob blocker;
   blocker.dataset = "aba";
-  blocker.options.stage_hook = [&](ProfileStage, double) {
-    std::unique_lock<std::mutex> lock(gate_mu);
-    entered = true;
-    gate_cv.notify_all();
-    gate_cv.wait(lock, [&] { return release; });
-  };
+  blocker.options.stage_hook = gate.stage_hook();
   JobHandlePtr running = stack.scheduler->submit(blocker);
-  {
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return entered; });
-  }
+  gate.wait_entered();
   // Fill the single pending slot.
   ProfileJob filler;
   filler.dataset = "aba";
@@ -508,13 +545,119 @@ TEST(NetServerTest, SchedulerBackstopAnswersServerBusy) {
   EXPECT_GE(stack.metrics.counter("net.busy_rejects").value(), 1);
   EXPECT_GE(stack.metrics.counter("jobs.rejected").value(), 1);
 
-  {
-    std::unique_lock<std::mutex> lock(gate_mu);
-    release = true;
-    gate_cv.notify_all();
-  }
+  gate.release();
   running->wait();
   queued->wait();
+}
+
+TEST(NetServerTest, ShutdownAnswersInFlightRequests) {
+  SchedulerOptions sched;
+  sched.num_threads = 1;
+  ServerOptions options;
+  // Far more than the two answers need, even under a sanitizer; the drain
+  // ends as soon as they are delivered.
+  options.drain_seconds = 120;
+  Stack stack(options, sched);
+  {
+    BlockingClient setup = stack.connect("setup");
+    setup.register_dataset("aba", DemoCsv(), /*live=*/false);
+  }
+  const std::string diabetic = WriteCsvString(GenerateBenchmark("diabetic", 1000));
+
+  // Hold the single worker, so the client's job waits in the queue.
+  WorkerGate gate;
+  ProfileJob blocker;
+  blocker.dataset = "aba";
+  blocker.options.stage_hook = gate.stage_hook();
+  JobHandlePtr running = stack.scheduler->submit(blocker);
+  gate.wait_entered();
+
+  BlockingClient watcher = stack.connect("watcher");
+  std::string job_error = "no answer";
+  std::string upload_error = "no answer";
+  DiscoveryResultMsg job;
+  RegisterOkMsg upload;
+  std::thread job_client([&] {
+    try {
+      BlockingClient client = stack.connect("job");
+      SubmitDiscoveryMsg submit;
+      submit.dataset = "aba";
+      submit.top_k = 3;
+      job = client.submit_discovery(submit);
+      job_error.clear();
+    } catch (const std::exception& e) {
+      job_error = e.what();
+    }
+  });
+  WaitForCount(stack.metrics.counter("jobs.submitted"), 2);
+
+  // The upload's live discovery runs on the ops pool. The loop admits a
+  // request in the same turn that counts it, before it looks at the stop
+  // flag again.
+  const std::int64_t served = stack.metrics.counter("net.requests").value();
+  std::thread uploader([&] {
+    try {
+      BlockingClient client = stack.connect("uploader");
+      upload = client.register_dataset("dia", diabetic, /*live=*/true);
+      upload_error.clear();
+    } catch (const std::exception& e) {
+      upload_error = e.what();
+    }
+  });
+  WaitForCount(stack.metrics.counter("net.requests"), served + 1);
+
+  std::thread stopper([&] { stack.server->shutdown(); });
+  // The drain has started once the idle watcher's connection is closed.
+  for (;;) {
+    try {
+      watcher.ping();
+    } catch (const std::exception&) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  gate.release();
+  job_client.join();
+  uploader.join();
+  stopper.join();
+
+  EXPECT_EQ(job_error, "");
+  EXPECT_EQ(job.state, "done");
+  EXPECT_EQ(upload_error, "");
+  EXPECT_EQ(upload.rows, 1000u);
+  EXPECT_EQ(running->state(), JobState::kDone);
+  EXPECT_EQ(stack.server->connections(), 0);
+}
+
+TEST(NetServerTest, JobFinishingAfterServerIsGoneIsHarmless) {
+  SchedulerOptions sched;
+  sched.num_threads = 1;
+  ServerOptions options;
+  options.drain_seconds = 0.2;  // the queued job outlives the drain
+  Stack stack(options, sched);
+  BlockingClient client = stack.connect();
+  client.register_dataset("aba", DemoCsv(), /*live=*/false);
+
+  WorkerGate gate;
+  ProfileJob blocker;
+  blocker.dataset = "aba";
+  blocker.options.stage_hook = gate.stage_hook();
+  JobHandlePtr running = stack.scheduler->submit(blocker);
+  gate.wait_entered();
+
+  // Submitted through the server, then left waiting behind the blocker.
+  SubmitDiscoveryMsg submit;
+  submit.dataset = "aba";
+  client.send_frame(MsgType::kSubmitDiscovery, 77, Payload(submit));
+  WaitForCount(stack.metrics.counter("jobs.submitted"), 2);
+
+  stack.server.reset();
+  // The server's job now finishes; its continuation posts into an inbox
+  // nobody reads.
+  gate.release();
+  stack.scheduler->wait_all();
+  EXPECT_EQ(running->state(), JobState::kDone);
+  EXPECT_EQ(stack.metrics.counter("jobs.completed").value(), 2);
 }
 
 TEST(NetServerTest, SubscriberReceivesCoverDeltas) {

@@ -199,6 +199,52 @@ TEST(ServiceTest, QueryJobsRunThroughScheduler) {
   EXPECT_EQ(bad_handle->state(), JobState::kFailed);
   EXPECT_NE(bad_handle->error().find("invalid discovery query"),
             std::string::npos);
+  EXPECT_TRUE(bad_handle->invalid_request());
+  EXPECT_FALSE(handle->invalid_request());
+}
+
+TEST(ServiceTest, OnFinishRunsOnceOnEveryTerminalPath) {
+  MetricsRegistry metrics;
+  DatasetRegistry datasets(&metrics);
+  datasets.add_table("t", DemoTable());
+  JobScheduler scheduler(&datasets, &metrics,
+                         {.num_threads = 1, .max_pending = 1});
+  std::atomic<int> calls{0};
+  auto count = [&calls](const JobHandle& h) {
+    EXPECT_TRUE(h.finished());
+    calls.fetch_add(1);
+  };
+
+  std::atomic<bool> release{false};
+  ProfileJob blocker;
+  blocker.dataset = "t";
+  blocker.options.stage_hook = [&release](ProfileStage, double) {
+    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  JobHandlePtr running = scheduler.submit(blocker);
+  running->on_finish(count);  // runs on the worker when the job is done
+  while (running->state() == JobState::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ProfileJob job;
+  job.dataset = "t";
+  JobHandlePtr cancelled = scheduler.submit(job);
+  cancelled->on_finish(count);  // runs when the worker drops it
+  cancelled->cancel();
+  JobHandlePtr refused = scheduler.submit(job);
+  ASSERT_TRUE(refused->rejected());
+  refused->on_finish(count);  // already terminal: runs at once
+  EXPECT_EQ(calls.load(), 1);
+
+  release.store(true);
+  scheduler.shutdown();  // joins the worker, so its continuations have run
+  EXPECT_EQ(calls.load(), 3);
+  EXPECT_EQ(running->state(), JobState::kDone);
+  EXPECT_EQ(cancelled->state(), JobState::kCancelled);
+  JobHandlePtr late = scheduler.submit(job);
+  late->on_finish(count);
+  EXPECT_EQ(late->state(), JobState::kFailed);
+  EXPECT_EQ(calls.load(), 4);
 }
 
 TEST(ServiceTest, CancelQueuedJobNeverRuns) {
