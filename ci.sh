@@ -12,7 +12,10 @@
 #                          the net server round-trip + backpressure suite and
 #                          the pooled encode / sampler / rank / profile
 #                          equivalence tests
-#   5. asan              — partition-arena tests, the word-indexed closure
+#   5. asan              — partition-arena tests, the flat FD-tree's arena
+#                          (node indices, child-block slots found by bit
+#                          rank, per-depth lists) under random inductions
+#                          and the DDM's id scans, the word-indexed closure
 #                          bitset matrix (closure + canonical-cover tests),
 #                          the wire-framing negative/fuzz-ish suite (incl.
 #                          the query payload negatives), the query lattice,
@@ -24,7 +27,8 @@
 #                          the live-update property streams, the net
 #                          server round-trips + trace propagation, and the
 #                          job/update handle continuations under ASan
-#   6. ubsan             — bit-twiddling kernels, the sampler's counting
+#   6. ubsan             — bit-twiddling kernels, the FD-tree's child-mask
+#                          rank and slot arithmetic, the sampler's counting
 #                          passes and the hostile-CSV corpus under UBSan
 #                          (non-recoverable)
 #   7. thread-safety     — Clang Thread Safety Analysis as errors over src/,
@@ -131,6 +135,7 @@ echo "=== asan: partition arena indexing under AddressSanitizer ==="
 cmake -B build-asan -S . -DDHYFD_SANITIZE=address -DDHYFD_WERROR=ON
 cmake --build build-asan -j "$JOBS" --target \
   partition_test partition_cache_test partition_intersect_test \
+  extended_fd_tree_test fdtree_induction_chain_test ddm_test \
   closure_test cover_test sampler_test encoder_test \
   net_wire_test query_test redundancy_test robustness_test live_profile_test \
   incr_property_test hostile_input_test net_server_test trace_propagation_test \
@@ -138,6 +143,14 @@ cmake --build build-asan -j "$JOBS" --target \
 ./build-asan/tests/partition_test
 ./build-asan/tests/partition_cache_test
 ./build-asan/tests/partition_intersect_test
+# The extended FD-tree is one chunked node arena addressed by 32-bit index;
+# a child is slot children + rank(attr) of a block that moves (and is
+# recycled) as it grows. A wrong rank or a stale block offset reads another
+# node's slot, which the random-induction oracles here would only sometimes
+# notice and ASan always does. The DDM rewrites ids in arena scans.
+./build-asan/tests/extended_fd_tree_test
+./build-asan/tests/fdtree_induction_chain_test
+./build-asan/tests/ddm_test
 # The closure engine indexes one flat bitset matrix by attribute row and
 # 64-FD word, with a masked tail word; the property sweep straddles every
 # word boundary and the canonical-cover tests drive ~97k-FD matrices.
@@ -193,9 +206,16 @@ echo "=== ubsan: bit-twiddling kernels under UBSan (no recovery) ==="
 # -fno-sanitize-recover=all turns the first hit into a nonzero exit.
 cmake -B build-ubsan -S . -DDHYFD_SANITIZE=undefined -DDHYFD_WERROR=ON
 cmake --build build-ubsan -j "$JOBS" --target \
-  attribute_set_test partition_test partition_intersect_test sampler_test \
+  attribute_set_test extended_fd_tree_test fdtree_induction_chain_test ddm_test \
+  partition_test partition_intersect_test sampler_test \
   closure_test ranking_test query_topk_property_test hostile_input_test
 ./build-ubsan/tests/attribute_set_test
+# The FD-tree's rank (popcount below a bit, shifts by the attribute's word
+# offset) and its uint32 slot offsets are where a shift past 63 or a
+# narrowing wrap would hide; the 100-attribute oracle straddles a word.
+./build-ubsan/tests/extended_fd_tree_test
+./build-ubsan/tests/fdtree_induction_chain_test
+./build-ubsan/tests/ddm_test
 # The refiner's pair fast path and counting split, and the sampler's
 # counting passes, which index per-code buckets at bucket[code + 1].
 ./build-ubsan/tests/partition_test

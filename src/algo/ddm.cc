@@ -29,7 +29,7 @@ AttributeSet Ddm::attrs_for_id(int id) const {
   return dynamic_[id - rel_.num_cols()].attrs;
 }
 
-int64_t Ddm::update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
+int64_t Ddm::update(const std::vector<ExtendedFdTree::NodeId>& level_nodes,
                     ExtendedFdTree& tree, ThreadPool* pool, int parallelism) {
   const int m = rel_.num_cols();
   std::vector<Entry> fresh(level_nodes.size());
@@ -39,20 +39,20 @@ int64_t Ddm::update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
   // Algorithm 3 starts each refinement from the node's previous partition.
   std::vector<int> old_ids;
   old_ids.reserve(level_nodes.size());
-  for (const ExtendedFdTree::Node* node : level_nodes) old_ids.push_back(node->id);
+  for (ExtendedFdTree::NodeId n : level_nodes) old_ids.push_back(tree.node(n).id);
 
   // Reset every id to its default so no node anywhere in the tree keeps a
   // reference into the dynamic array we are about to replace.
   tree.reset_ids();
 
   // Per-node rebuild. Entry ids are pre-assigned by node index (new_id =
-  // m + idx), so the rebuilt array does not depend on completion order; the
-  // level's nodes root disjoint subtrees, so the id propagation below writes
-  // disjoint node sets.
+  // m + idx), so the rebuilt array does not depend on completion order; each
+  // shard re-points only its own nodes.
   auto rebuild_node = [&](size_t idx, PartitionRefiner& refiner,
                           int64_t& shard_refinements) {
-    ExtendedFdTree::Node* node = level_nodes[idx];
-    AttributeSet path = tree.path_of(node);
+    const ExtendedFdTree::NodeId n = level_nodes[idx];
+    const AttrId attr = tree.node(n).attr;
+    AttributeSet path = tree.path_of(n);
     // Algorithm 3 steps 7-9: start from the node's current partition — the
     // dynamic entry its id pointed to, or its own attribute's partition.
     const StrippedPartition* start;
@@ -62,8 +62,8 @@ int64_t Ddm::update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
       start = &e.partition;
       start_attrs = e.attrs;
     } else {
-      start = &static_partitions_[node->attr];
-      start_attrs = AttributeSet::single(node->attr);
+      start = &static_partitions_[attr];
+      start_attrs = AttributeSet::single(attr);
     }
     Entry& entry = fresh[idx];
     entry.attrs = path;
@@ -73,16 +73,7 @@ int64_t Ddm::update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
       shard_refinements += entry.partition.size();
       refiner.refine_inplace(entry.partition, b);
     });
-    int new_id = m + static_cast<int>(idx);
-    // Step 13-15: re-point the node and propagate to descendants, keeping
-    // every id consistent (descendant paths are supersets of `path`).
-    std::vector<ExtendedFdTree::Node*> stack = {node};
-    while (!stack.empty()) {
-      ExtendedFdTree::Node* cur = stack.back();
-      stack.pop_back();
-      cur->id = new_id;
-      for (const auto& c : cur->children) stack.push_back(c.get());
-    }
+    tree.set_id(n, m + static_cast<int>(idx));
   };
 
   if (pool != nullptr && parallelism > 1 && level_nodes.size() > 1) {
@@ -109,6 +100,9 @@ int64_t Ddm::update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
     }
   }
 
+  // Step 13-15: every descendant takes its level node's id, keeping ids
+  // consistent (descendant paths are supersets of the node's path).
+  tree.propagate_dynamic_ids(m);
   dynamic_ = std::move(fresh);
   ObsAdd(kObsPartitionDdmDynamicBuilds, static_cast<int64_t>(dynamic_.size()));
   ObsAdd(kObsPartitionDdmRefinements, refinements);

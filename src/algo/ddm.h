@@ -46,10 +46,10 @@ class Ddm {
   ///
   /// With a pool and parallelism > 1 the per-node refinements are sharded
   /// over the pool: ids are pre-assigned by node index (so the rebuilt array
-  /// is identical to the sequential one), the level's nodes root disjoint
-  /// subtrees (so id propagation never races), and each shard leases its own
-  /// refiner.
-  int64_t update(const std::vector<ExtendedFdTree::Node*>& level_nodes,
+  /// is identical to the sequential one), each shard re-points only its own
+  /// level nodes and leases its own refiner, and the copy of the ids to the
+  /// descendants is one sequential arena scan afterwards.
+  int64_t update(const std::vector<ExtendedFdTree::NodeId>& level_nodes,
                  ExtendedFdTree& tree, ThreadPool* pool = nullptr,
                  int parallelism = 1);
 

@@ -67,8 +67,8 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   result.stats.sampled_non_fds = static_cast<int64_t>(violations.size());
   {
     StrippedPartition whole = StrippedPartition::whole(r.num_rows());
-    result.stats.validations += tree.root()->rhs.count();
-    AttributeSet root_rhs = tree.root()->rhs;
+    result.stats.validations += tree.root_rhs().count();
+    AttributeSet root_rhs = tree.root_rhs();
     ValidationOutcome v =
         approx ? ValidateApproxWithPartition(r, AttributeSet(), root_rhs, whole,
                                              AttributeSet(), ddm.refiner(), budget)
@@ -102,14 +102,14 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   int cl = 1;
   int vl = 1;
   int64_t num_fds = 0;
-  std::vector<ExtendedFdTree::Node*> candidates = tree.level_nodes(1);
+  std::vector<ExtendedFdTree::NodeId> candidates = tree.level_nodes(1);
 
   // Per-candidate validation body: candidates are independent (paper
   // Alg. 4), so a contiguous range of them is the shard unit. Everything a
   // candidate writes is local (the node's own id re-pointing included —
   // each node is visited by exactly one shard); the shared DDM is read-only
   // during a level.
-  auto validate_range = [&](const std::vector<ExtendedFdTree::Node*>& nodes,
+  auto validate_range = [&](const std::vector<ExtendedFdTree::NodeId>& nodes,
                             PartitionRefiner& refiner, size_t begin,
                             size_t end) {
     LevelValidationResult local;
@@ -118,23 +118,24 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
         local.timed_out = true;
         break;
       }
-      ExtendedFdTree::Node* node = nodes[i];
-      if (!node->is_fd_node()) continue;
-      AttributeSet lhs = tree.path_of(node);
+      const ExtendedFdTree::NodeId n = nodes[i];
+      const ExtendedFdTree::Node& node = tree.node(n);
+      if (!node.is_fd_node()) continue;
+      AttributeSet lhs = tree.path_of(n);
       // Lines 15-16: a node without a dynamic partition starts from the
       // path attribute with the smallest single-attribute support.
-      if (node->id < m) {
+      if (node.id < m) {
         AttrId best = lhs.first();
         lhs.for_each([&](AttrId a) {
           if (ddm.attribute_support(a) < ddm.attribute_support(best)) best = a;
         });
-        node->id = best;
+        tree.set_id(n, best);
       }
       // Lines 17-18: validate from the DDM's partition for this node.
-      const StrippedPartition& base = ddm.partition_for_id(node->id);
-      AttributeSet base_attrs = ddm.attrs_for_id(node->id);
-      local.validations += node->rhs.count();
-      AttributeSet node_rhs = node->rhs;
+      const StrippedPartition& base = ddm.partition_for_id(node.id);
+      AttributeSet base_attrs = ddm.attrs_for_id(node.id);
+      local.validations += node.rhs.count();
+      AttributeSet node_rhs = node.rhs;
       ValidationOutcome v =
           approx ? ValidateApproxWithPartition(r, lhs, node_rhs, base,
                                                base_attrs, refiner, budget)
@@ -153,7 +154,7 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   };
 
   auto validate_level =
-      [&](const std::vector<ExtendedFdTree::Node*>& nodes) {
+      [&](const std::vector<ExtendedFdTree::NodeId>& nodes) {
         if (par > 1 && nodes.size() > 1) {
           ParFdStorageBuilder builder(
               std::min(nodes.size(), static_cast<std::size_t>(par)));
@@ -181,7 +182,7 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
 
     // Line 13: candidate FDs on this level, before induction.
     int64_t total = 0;
-    for (ExtendedFdTree::Node* n : candidates) total += n->rhs.count();
+    for (ExtendedFdTree::NodeId n : candidates) total += tree.node(n).rhs.count();
 
     {
       TraceSpan level_span(kObsDiscoverValidation);
@@ -222,12 +223,13 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
     }
 
     // Lines 21-25: efficiency-inefficiency ratio.
-    std::vector<ExtendedFdTree::Node*> reusables;
-    for (ExtendedFdTree::Node* n : candidates) {
-      if (!n->is_leaf()) reusables.push_back(n);
-    }
+    std::vector<ExtendedFdTree::NodeId> reusables;
     int64_t num_new_fds = 0;
-    for (ExtendedFdTree::Node* n : candidates) num_new_fds += n->rhs.count();
+    for (ExtendedFdTree::NodeId n : candidates) {
+      const ExtendedFdTree::Node& node = tree.node(n);
+      if (!node.is_leaf()) reusables.push_back(n);
+      num_new_fds += node.rhs.count();
+    }
     num_fds += num_new_fds;
     double efficiency =
         total > 0 ? static_cast<double>(num_new_fds) / static_cast<double>(total) : 0.0;

@@ -78,11 +78,11 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
   sampling_phase();
   {
     StrippedPartition whole = StrippedPartition::whole(r.num_rows());
-    result.stats.validations += tree.root()->rhs.count();
-    ValidationOutcome v = ValidateWithPartition(r, AttributeSet(), tree.root()->rhs,
+    result.stats.validations += tree.root_rhs().count();
+    ValidationOutcome v = ValidateWithPartition(r, AttributeSet(), tree.root_rhs(),
                                                 whole, AttributeSet(), refiner);
     result.stats.pairs_compared += v.pairs_checked;
-    result.stats.invalidated += tree.root()->rhs.count() - v.valid_rhs.count();
+    result.stats.invalidated += tree.root_rhs().count() - v.valid_rhs.count();
     induct_sorted(std::move(v.violations));
   }
 
@@ -91,7 +91,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
   int vl = 1;
   while (vl <= tree.depth() && !result.stats.timed_out) {
     result.stats.levels = vl;
-    std::vector<ExtendedFdTree::Node*> candidates = tree.level_nodes(vl);
+    std::vector<ExtendedFdTree::NodeId> candidates = tree.level_nodes(vl);
     // Candidate validation shards over the pool: per-candidate work is
     // independent (reads of the static PLIs and tree paths, plus the
     // shard-private refiner), and the shard-ordered merge keeps the
@@ -104,10 +104,10 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
           local.timed_out = true;
           break;
         }
-        ExtendedFdTree::Node* node = candidates[i];
-        if (!node->is_fd_node()) continue;
-        AttributeSet lhs = tree.path_of(node);
-        AttributeSet rhs = node->rhs;
+        const ExtendedFdTree::NodeId n = candidates[i];
+        if (!tree.node(n).is_fd_node()) continue;
+        AttributeSet lhs = tree.path_of(n);
+        AttributeSet rhs = tree.node(n).rhs;
         local.validations += rhs.count();
         // HyFD always starts from a single-attribute partition: pick the
         // path attribute whose partition has the least support.

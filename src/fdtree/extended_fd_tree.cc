@@ -1,98 +1,161 @@
 #include "fdtree/extended_fd_tree.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace dhyfd {
 
-ExtendedFdTree::ExtendedFdTree(int num_attrs)
-    : num_attrs_(num_attrs),
-      root_(new Node{-1, -1, {}, nullptr, {}}) {}
+// The pointer-based node was 72 B plus its owning pointer in the parent.
+static_assert(sizeof(ExtendedFdTree::Node) <= 80, "FD-tree node outgrew its budget");
 
-ExtendedFdTree::Node* ExtendedFdTree::Node::find_child(AttrId a) const {
-  for (const auto& c : children) {
-    if (c->attr == a) return c.get();
-    if (c->attr > a) break;
-  }
-  return nullptr;
+ExtendedFdTree::ExtendedFdTree(int num_attrs) : num_attrs_(num_attrs) {
+  new_node(kNoNode, -1, -1, 0);
 }
 
-ExtendedFdTree::Node* ExtendedFdTree::ensure_child(Node* node, AttrId a, int depth) {
-  size_t pos = 0;
-  while (pos < node->children.size() && node->children[pos]->attr < a) ++pos;
-  if (pos < node->children.size() && node->children[pos]->attr == a) {
-    return node->children[pos].get();
+ExtendedFdTree::NodeId ExtendedFdTree::new_node(NodeId parent, AttrId attr, int id,
+                                                int depth) {
+  const NodeId n = static_cast<NodeId>(node_count_++);
+  if ((n & kChunkMask) == 0) {
+    chunks_.push_back(std::make_unique<Node[]>(size_t{kChunkMask} + 1));
   }
+  mut(n) = Node{{}, {}, parent, 0, attr, id};
+  if (levels_.size() <= static_cast<size_t>(depth)) levels_.resize(depth + 1);
+  levels_[depth].push_back(n);
+  return n;
+}
+
+uint32_t ExtendedFdTree::take_block(uint32_t size) {
+  const size_t size_class = static_cast<size_t>(std::countr_zero(size));
+  if (size_class < free_blocks_.size() && !free_blocks_[size_class].empty()) {
+    const uint32_t block = free_blocks_[size_class].back();
+    free_blocks_[size_class].pop_back();
+    return block;
+  }
+  const uint32_t block = static_cast<uint32_t>(slots_.size());
+  slots_.resize(slots_.size() + size);
+  return block;
+}
+
+ExtendedFdTree::NodeId ExtendedFdTree::ensure_child(NodeId parent, AttrId a, int depth) {
+  Node& p = mut(parent);  // arena chunks never move, so p survives new_node
+  const int rank = p.child_mask.count_below(a);
+  if (p.child_mask.test(a)) return slots_[p.children + rank];
   // Algorithm 1 steps 11-14: below the controlled level a new node inherits
   // its parent's id (whose partition attributes are a subset of the parent
   // path, hence of the new node's path); at or above it, the default id.
-  int id;
-  if (depth > controlled_level_ && node->attr >= 0) {
-    id = node->id;
+  const int id = depth > controlled_level_ && parent != kRoot ? p.id : a;
+  const NodeId child = new_node(parent, a, id, depth);
+  // A block of k children holds bit_ceil(k) slots: it is full exactly when
+  // k is 0 or a power of two, and then moves to a block twice its size.
+  const uint32_t count = static_cast<uint32_t>(p.child_mask.count());
+  const auto at = [&](uint32_t block, uint32_t i) {
+    return slots_.begin() + static_cast<std::ptrdiff_t>(block + i);
+  };
+  if (count == 0 || std::has_single_bit(count)) {
+    const uint32_t block = take_block(count == 0 ? 1 : 2 * count);
+    std::copy(at(p.children, 0), at(p.children, rank), at(block, 0));
+    std::copy(at(p.children, rank), at(p.children, count), at(block, rank + 1));
+    if (count > 0) {
+      const size_t size_class = static_cast<size_t>(std::countr_zero(count));
+      if (free_blocks_.size() <= size_class) free_blocks_.resize(size_class + 1);
+      free_blocks_[size_class].push_back(p.children);
+    }
+    p.children = block;
   } else {
-    id = a;
+    std::copy_backward(at(p.children, rank), at(p.children, count),
+                       at(p.children, count + 1));
   }
-  auto child = std::make_unique<Node>(Node{a, id, {}, node, {}});
-  Node* raw = child.get();
-  node->children.insert(node->children.begin() + pos, std::move(child));
-  ++node_count_;
-  return raw;
+  slots_[p.children + rank] = child;
+  p.child_mask.set(a);
+  return child;
 }
 
 void ExtendedFdTree::add_fd(const AttributeSet& lhs, const AttributeSet& rhs) {
-  Node* current = root_.get();
+  NodeId current = kRoot;
   int depth = 0;
   lhs.for_each([&](AttrId a) { current = ensure_child(current, a, ++depth); });
-  fd_count_ += (rhs - current->rhs).count();
-  current->rhs |= rhs;
+  Node& n = mut(current);
+  fd_count_ += (rhs - n.rhs).count();
+  n.rhs |= rhs;
 }
 
-AttributeSet ExtendedFdTree::path_of(const Node* n) const {
+AttributeSet ExtendedFdTree::path_of(NodeId n) const {
   AttributeSet path;
-  for (const Node* cur = n; cur != nullptr && cur->attr >= 0; cur = cur->parent) {
-    path.set(cur->attr);
-  }
+  for (NodeId cur = n; cur != kRoot; cur = node(cur).parent) path.set(node(cur).attr);
   return path;
 }
 
-std::vector<ExtendedFdTree::Node*> ExtendedFdTree::level_nodes(int level) {
-  std::vector<Node*> out;
-  std::vector<std::pair<Node*, int>> stack = {{root_.get(), 0}};
-  while (!stack.empty()) {
-    auto [node, depth] = stack.back();
-    stack.pop_back();
-    if (depth == level) {
-      out.push_back(node);
-      continue;  // deeper nodes are beyond the requested level
-    }
-    for (const auto& c : node->children) stack.emplace_back(c.get(), depth + 1);
-  }
+std::vector<ExtendedFdTree::NodeId> ExtendedFdTree::level_nodes(int level) const {
+  if (level < 0 || static_cast<size_t>(level) >= levels_.size()) return {};
+  std::vector<std::pair<AttributeSet, NodeId>> keyed;
+  keyed.reserve(levels_[level].size());
+  for (NodeId n : levels_[level]) keyed.emplace_back(path_of(n), n);
+  // Equal-size paths: p precedes q in descending lexicographic order iff the
+  // smallest attribute on which they differ belongs to q.
+  std::sort(keyed.begin(), keyed.end(), [](const auto& p, const auto& q) {
+    const AttrId d = ((p.first - q.first) | (q.first - p.first)).first();
+    return d >= 0 && q.first.test(d);
+  });
+  std::vector<NodeId> out;
+  out.reserve(keyed.size());
+  for (const auto& [path, n] : keyed) out.push_back(n);
   return out;
+}
+
+bool ExtendedFdTree::cover_below(NodeId n, const AttributeSet& lhs,
+                                 const AttributeSet& candidates,
+                                 AttributeSet& covered) const {
+  const Node& p = node(n);
+  return p.child_mask.for_each_ranked(lhs, [&](AttrId, int rank) {
+    const NodeId c = slots_[p.children + rank];
+    covered |= node(c).rhs & candidates;
+    return covered != candidates && cover_below(c, lhs, candidates, covered);
+  });
+}
+
+bool ExtendedFdTree::cover_through(NodeId n, const AttributeSet& before, AttrId anchor,
+                                   const AttributeSet& lhs,
+                                   const AttributeSet& candidates,
+                                   AttributeSet& covered) const {
+  const Node& p = node(n);
+  // `before` holds the lhs attributes up to the anchor: a child past the
+  // anchor would spell a path that skipped it.
+  return p.child_mask.for_each_ranked(before, [&](AttrId a, int rank) {
+    const NodeId c = slots_[p.children + rank];
+    if (a != anchor) return cover_through(c, before, anchor, lhs, candidates, covered);
+    covered |= node(c).rhs & candidates;
+    return covered != candidates && cover_below(c, lhs, candidates, covered);
+  });
 }
 
 AttributeSet ExtendedFdTree::covered_rhs(const AttributeSet& lhs,
                                          const AttributeSet& candidates) const {
-  AttributeSet covered = root_->rhs & candidates;
-  if (covered == candidates) return covered;
-  // DFS over paths that stay inside lhs; union FD-node labels.
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    for (const auto& c : node->children) {
-      if (!lhs.test(c->attr)) continue;
-      covered |= c->rhs & candidates;
-      if (covered == candidates) return covered;
-      stack.push_back(c.get());
-    }
-  }
+  AttributeSet covered = root_rhs() & candidates;
+  if (covered != candidates) cover_below(kRoot, lhs, candidates, covered);
+  return covered;
+}
+
+AttributeSet ExtendedFdTree::anchored_covered_rhs(const AttributeSet& lhs, AttrId anchor,
+                                                  const AttributeSet& candidates) const {
+  AttributeSet covered;
+  cover_through(kRoot, lhs & AttributeSet::full(anchor + 1), anchor, lhs, candidates,
+                covered);
   return covered;
 }
 
 void ExtendedFdTree::process_fd_node(const AttributeSet& x, const AttributeSet& y,
-                                     Node* current) {
-  AttributeSet removed = current->rhs & y;
-  current->rhs -= y;
+                                     NodeId current) {
+  Node& n = mut(current);
+  AttributeSet removed = n.rhs & y;
   if (removed.empty()) return;
+  n.rhs -= y;
   fd_count_ -= removed.count();
-  AttributeSet x_prime = path_of(current);
+  const AttributeSet x_prime = path_of(current);
+
+  // In a minimal tree no generalization of the refuted X' -> B survives, so
+  // a generalization of X' + a' -> B contains a' (added FDs contain an
+  // attribute outside x, hence are no subsets of X'): the anchored lookup
+  // finds exactly what the full one would.
 
   // Case 1 (Algorithm 2 steps 12-14): extend with attributes outside
   // X + removed; the new LHS is then not a subset of X.
@@ -101,8 +164,7 @@ void ExtendedFdTree::process_fd_node(const AttributeSet& x, const AttributeSet& 
   outside.for_each([&](AttrId a_prime) {
     AttributeSet new_lhs = x_prime;
     new_lhs.set(a_prime);
-    AttributeSet minimal = removed - covered_rhs(new_lhs, removed);
-    minimal.reset(a_prime);  // keep the FD non-trivial
+    AttributeSet minimal = removed - anchored_covered_rhs(new_lhs, a_prime, removed);
     if (!minimal.empty()) add_fd(new_lhs, minimal);
   });
 
@@ -114,67 +176,68 @@ void ExtendedFdTree::process_fd_node(const AttributeSet& x, const AttributeSet& 
       new_lhs.set(a_prime);
       AttributeSet candidate = removed;
       candidate.reset(a_prime);
-      AttributeSet minimal = candidate - covered_rhs(new_lhs, candidate);
+      AttributeSet minimal =
+          candidate - anchored_covered_rhs(new_lhs, a_prime, candidate);
       if (!minimal.empty()) add_fd(new_lhs, minimal);
     });
   }
 }
 
-void ExtendedFdTree::induct_rec(const std::vector<AttrId>& x_attrs, size_t i,
-                                const AttributeSet& x, const AttributeSet& y,
-                                Node* current) {
-  if (current->is_fd_node()) process_fd_node(x, y, current);
-  for (size_t j = i; j < x_attrs.size(); ++j) {
-    // New paths created by process_fd_node always contain an attribute
-    // outside x, so this lookup never descends into freshly added branches.
-    if (current->children.empty() || x_attrs[j] > current->children.back()->attr) {
-      return;
-    }
-    Node* c = current->find_child(x_attrs[j]);
-    if (c != nullptr) induct_rec(x_attrs, j + 1, x, y, c);
-  }
+void ExtendedFdTree::induct_rec(const AttributeSet& x, const AttributeSet& y,
+                                NodeId current) {
+  if (node(current).is_fd_node()) process_fd_node(x, y, current);
+  // New paths created by process_fd_node always contain an attribute
+  // outside x, so the children to descend into are fixed here. Each is
+  // looked up afresh: inductions below may move this node's child block.
+  (node(current).child_mask & x).for_each([&](AttrId a) {
+    induct_rec(x, y, find_child(current, a));
+  });
 }
 
 void ExtendedFdTree::induct(const AttributeSet& x, const AttributeSet& y) {
-  std::vector<AttrId> x_attrs;
-  x.for_each([&](AttrId a) { x_attrs.push_back(a); });
-  induct_rec(x_attrs, 0, x, y, root_.get());
+  induct_rec(x, y, kRoot);
 }
 
 void ExtendedFdTree::reset_ids() {
-  std::vector<Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    Node* node = stack.back();
-    stack.pop_back();
-    if (node->attr >= 0) node->id = node->attr;
-    for (const auto& c : node->children) stack.push_back(c.get());
+  for (NodeId n = 1; n < node_count_; ++n) {
+    Node& c = mut(n);
+    c.id = c.attr;
   }
 }
 
-int ExtendedFdTree::depth() const {
-  int max_depth = 0;
-  std::vector<std::pair<const Node*, int>> stack = {{root_.get(), 0}};
-  while (!stack.empty()) {
-    auto [node, d] = stack.back();
-    stack.pop_back();
-    if (d > max_depth) max_depth = d;
-    for (const auto& c : node->children) stack.emplace_back(c.get(), d + 1);
+void ExtendedFdTree::propagate_dynamic_ids(int first_dynamic) {
+  // Parents precede children in the arena, so one ascending scan carries an
+  // id down any number of levels.
+  for (NodeId n = 1; n < node_count_; ++n) {
+    Node& c = mut(n);
+    const int parent_id = node(c.parent).id;
+    if (parent_id >= first_dynamic && c.id < first_dynamic) c.id = parent_id;
   }
-  return max_depth;
+}
+
+size_t ExtendedFdTree::memory_bytes() const {
+  size_t bytes = chunks_.size() * ((size_t{kChunkMask} + 1) * sizeof(Node)) +
+                 chunks_.capacity() * sizeof(chunks_[0]) +
+                 slots_.capacity() * sizeof(NodeId);
+  for (const auto& level : levels_) bytes += level.capacity() * sizeof(NodeId);
+  for (const auto& blocks : free_blocks_) bytes += blocks.capacity() * sizeof(uint32_t);
+  return bytes;
 }
 
 FdSet ExtendedFdTree::collect() const {
   FdSet out;
-  std::vector<std::pair<const Node*, AttributeSet>> stack = {{root_.get(), {}}};
+  std::vector<std::pair<NodeId, AttributeSet>> stack = {{kRoot, {}}};
   while (!stack.empty()) {
-    auto [node, path] = stack.back();
+    auto [n, path] = stack.back();
     stack.pop_back();
-    node->rhs.for_each([&](AttrId a) { out.add(Fd(path, a)); });
-    for (const auto& c : node->children) {
+    const Node& p = node(n);
+    p.rhs.for_each([&](AttrId a) { out.add(Fd(path, a)); });
+    p.child_mask.for_each_ranked(p.child_mask, [&](AttrId a, int rank) {
       AttributeSet child_path = path;
-      child_path.set(c->attr);
-      stack.emplace_back(c.get(), child_path);
-    }
+      child_path.set(a);
+      stack.emplace_back(slots_[p.children + rank], child_path);
+      return true;
+    });
   }
   return out;
 }

@@ -32,6 +32,9 @@ void LiveProfile::full_discover(BatchStats* stats) {
 }
 
 void LiveProfile::rebuild_tree_from_cover() {
+  // The cover is left-reduced, so the tree holds minimal FDs, as induct()
+  // requires. The delete path keeps it so: it adds only FDs no tree FD
+  // generalizes and drops the specializations they supersede.
   tree_ = std::make_unique<ExtendedFdTree>(rel_.num_cols());
   tree_->set_controlled_level(1);
   for (const Fd& fd : cover_.fds) tree_->add_fd(fd.lhs, fd.rhs);
@@ -181,7 +184,7 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
         ++stats.rows_inserted;
         scan_partners(t, &violated);
       }
-      AttributeSet root = tree_->root()->rhs;
+      AttributeSet root = tree_->root_rhs();
       root.for_each([&](AttrId a) {
         if (rel_.live_distinct(a) > 1) {
           auto [u, v] = rel_.distinct_pair(a);
@@ -246,7 +249,7 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
     // group scan cannot see, so check the distinct counts directly.
     if (stats.rows_deleted > 0) {
       for (AttrId a = 0; a < m; ++a) {
-        if (!tree_->root()->rhs.test(a) && rel_.live_distinct(a) <= 1) {
+        if (!tree_->root_rhs().test(a) && rel_.live_distinct(a) <= 1) {
           Fd root_fd(AttributeSet(), a);
           if (std::find(new_fds.begin(), new_fds.end(), root_fd) == new_fds.end()) {
             new_fds.push_back(root_fd);

@@ -217,14 +217,13 @@ void ProfilingServer::loop() {
       drain_deadline_ = now() + options_.drain_seconds;
       listener_.close();
       for (auto& [id, conn] : conns_) {
-        // Subscribers get a terminal frame; everyone then drains and closes.
+        // Subscribers get a terminal frame; connections stay open (closing).
         std::vector<std::uint64_t> subs;
         for (const auto& [sub_id, sub] : conn->subs) subs.push_back(sub_id);
         for (std::uint64_t sub_id : subs) {
           end_subscription(*conn, sub_id, StreamEndReason::kServerShutdown,
                            "server shutting down");
         }
-        conn->closing = true;
       }
     }
     if (draining_ && drain_finished()) break;
@@ -453,6 +452,7 @@ void ProfilingServer::dispatch_request(Connection& c, const Frame& frame,
         return;
       }
       case MsgType::kPing:
+        if (draining_) return serve(c, frame, ctx, nullptr);  // shutting_down
         send_frame(c, EncodeEmptyFrame(MsgType::kPong, frame.request_id));
         return;
       case MsgType::kGoodbye:

@@ -178,7 +178,9 @@ class ProfilingServer {
     double last_send = 0;
     bool got_hello = false;
     /// Answer what is in flight, flush the outbound buffer, then close
-    /// (goodbye, stream-end and drain paths).
+    /// (goodbye, version-mismatch and slow-consumer paths). The server's
+    /// drain does not set it: a draining server keeps reading, so requests
+    /// sent during the drain are answered shutting_down.
     bool closing = false;
     /// The socket failed mid-write (peer reset, buffer overflow). The
     /// Connection must NOT be erased from conns_ at the point of failure:

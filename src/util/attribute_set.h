@@ -89,6 +89,13 @@ class AttributeSet {
     return c;
   }
 
+  /// Number of attributes in the set below a: a's rank among the members.
+  int count_below(AttrId a) const {
+    int c = 0;
+    for (int w = 0; w < word(a); ++w) c += std::popcount(words_[w]);
+    return c + std::popcount(words_[word(a)] & (bit(a) - 1));
+  }
+
   /// Smallest attribute in the set, or -1 if empty.
   AttrId first() const {
     for (int w = 0; w < kWords; ++w) {
@@ -189,6 +196,25 @@ class AttributeSet {
         cur &= cur - 1;
       }
     }
+  }
+
+  /// Invokes fn(a, rank) for every attribute a in both this set and
+  /// `among`, ascending, where rank = count_below(a). Stops at the first
+  /// call that returns false and then returns false; otherwise true.
+  template <typename Fn>
+  bool for_each_ranked(const AttributeSet& among, Fn&& fn) const {
+    int base = 0;
+    for (int w = 0; w < kWords; ++w) {
+      uint64_t cur = words_[w] & among.words_[w];
+      while (cur != 0) {
+        const int b = std::countr_zero(cur);
+        const int rank = base + std::popcount(words_[w] & ((uint64_t{1} << b) - 1));
+        if (!fn(static_cast<AttrId>(w * 64 + b), rank)) return false;
+        cur &= cur - 1;
+      }
+      base += std::popcount(words_[w]);
+    }
+    return true;
   }
 
   size_t hash() const {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace dhyfd {
@@ -144,6 +145,29 @@ TEST(AttributeSetTest, SingleFactory) {
   AttributeSet s = AttributeSet::single(77);
   EXPECT_EQ(s.count(), 1);
   EXPECT_TRUE(s.test(77));
+}
+
+
+TEST(AttributeSetTest, RanksAcrossWordBoundaries) {
+  const AttributeSet s{0, 5, 63, 64, 100, 127, 128, 255};
+  std::vector<AttrId> members;
+  s.for_each([&](AttrId a) { members.push_back(a); });
+  for (size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(s.count_below(members[i]), static_cast<int>(i)) << members[i];
+  }
+  EXPECT_EQ(s.count_below(1), 1);
+  EXPECT_EQ(s.count_below(200), 7);
+  // Ranks are those among all members, whatever the filter keeps.
+  const AttributeSet among{5, 64, 128, 200};
+  std::vector<std::pair<AttrId, int>> seen;
+  EXPECT_TRUE(s.for_each_ranked(among, [&](AttrId a, int rank) {
+    seen.emplace_back(a, rank);
+    return true;
+  }));
+  EXPECT_EQ(seen, (std::vector<std::pair<AttrId, int>>{{5, 1}, {64, 3}, {128, 6}}));
+  int calls = 0;
+  EXPECT_FALSE(s.for_each_ranked(s, [&](AttrId, int) { return ++calls < 2; }));
+  EXPECT_EQ(calls, 2);
 }
 
 }  // namespace

@@ -33,17 +33,17 @@ TEST(DdmTest, UpdateBuildsDynamicPartitions) {
   tree.set_controlled_level(1);
   tree.add_fd(AttributeSet{0, 1}, AttributeSet{2});
   tree.add_fd(AttributeSet{0, 1, 3}, AttributeSet{2});
-  std::vector<ExtendedFdTree::Node*> level2 = tree.level_nodes(2);
+  std::vector<ExtendedFdTree::NodeId> level2 = tree.level_nodes(2);
   ASSERT_EQ(level2.size(), 1u);  // node 1 under node 0
   tree.set_controlled_level(2);
   ddm.update(level2, tree);
   EXPECT_EQ(ddm.dynamic_entries(), 1);
   // The node's id now references pi_{0,1}.
-  ExtendedFdTree::Node* node = level2[0];
-  EXPECT_GE(node->id, r.num_cols());
-  EXPECT_EQ(ddm.attrs_for_id(node->id), (AttributeSet{0, 1}));
+  const ExtendedFdTree::Node& node = tree.node(level2[0]);
+  EXPECT_GE(node.id, r.num_cols());
+  EXPECT_EQ(ddm.attrs_for_id(node.id), (AttributeSet{0, 1}));
   StrippedPartition direct = BuildPartition(r, AttributeSet{0, 1});
-  StrippedPartition dyn = ddm.partition_for_id(node->id);
+  StrippedPartition dyn = ddm.partition_for_id(node.id);
   dyn.normalize();
   direct.normalize();
   EXPECT_EQ(dyn.to_string(), direct.to_string());
@@ -55,14 +55,14 @@ TEST(DdmTest, UpdatePropagatesIdsToDescendants) {
   ExtendedFdTree tree(5);
   tree.set_controlled_level(1);
   tree.add_fd(AttributeSet{0, 2, 4}, AttributeSet{1});
-  std::vector<ExtendedFdTree::Node*> level2 = tree.level_nodes(2);
+  std::vector<ExtendedFdTree::NodeId> level2 = tree.level_nodes(2);
   ASSERT_EQ(level2.size(), 1u);
   tree.set_controlled_level(2);
   ddm.update(level2, tree);
   // The depth-3 descendant must carry the same dynamic id.
-  std::vector<ExtendedFdTree::Node*> level3 = tree.level_nodes(3);
+  std::vector<ExtendedFdTree::NodeId> level3 = tree.level_nodes(3);
   ASSERT_EQ(level3.size(), 1u);
-  EXPECT_EQ(level3[0]->id, level2[0]->id);
+  EXPECT_EQ(tree.node(level3[0]).id, tree.node(level2[0]).id);
 }
 
 TEST(DdmTest, UpdateResetsUnrelatedIds) {
@@ -78,11 +78,11 @@ TEST(DdmTest, UpdateResetsUnrelatedIds) {
   // First update with both nodes, then a second update with only one: the
   // other node's id must fall back to its default, not dangle.
   ddm.update(level2, tree);
-  std::vector<ExtendedFdTree::Node*> just_one = {level2[0]};
+  std::vector<ExtendedFdTree::NodeId> just_one = {level2[0]};
   ddm.update(just_one, tree);
   EXPECT_EQ(ddm.dynamic_entries(), 1);
-  EXPECT_GE(level2[0]->id, 6);
-  EXPECT_EQ(level2[1]->id, level2[1]->attr);  // reset to default
+  EXPECT_GE(tree.node(level2[0]).id, 6);
+  EXPECT_EQ(tree.node(level2[1]).id, tree.node(level2[1]).attr);  // reset to default
 }
 
 TEST(DdmTest, SecondUpdateRefinesFromDynamic) {
@@ -98,8 +98,8 @@ TEST(DdmTest, SecondUpdateRefinesFromDynamic) {
   ASSERT_EQ(level3.size(), 1u);
   tree.set_controlled_level(3);
   ddm.update(level3, tree);
-  EXPECT_EQ(ddm.attrs_for_id(level3[0]->id), (AttributeSet{0, 1, 2}));
-  StrippedPartition dyn = ddm.partition_for_id(level3[0]->id);
+  EXPECT_EQ(ddm.attrs_for_id(tree.node(level3[0]).id), (AttributeSet{0, 1, 2}));
+  StrippedPartition dyn = ddm.partition_for_id(tree.node(level3[0]).id);
   StrippedPartition direct = BuildPartition(r, AttributeSet{0, 1, 2});
   dyn.normalize();
   direct.normalize();

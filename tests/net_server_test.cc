@@ -607,11 +607,16 @@ TEST(NetServerTest, ShutdownAnswersInFlightRequests) {
   WaitForCount(stack.metrics.counter("net.requests"), served + 1);
 
   std::thread stopper([&] { stack.server->shutdown(); });
-  // The drain has started once the idle watcher's connection is closed.
+  // The drain has started once the idle watcher's ping is refused; a request
+  // sent during the drain is answered shutting_down, not left to EOF.
   for (;;) {
     try {
       watcher.ping();
-    } catch (const std::exception&) {
+    } catch (const RpcError& e) {
+      EXPECT_EQ(e.code(), ErrCode::kShuttingDown) << e.what();
+      break;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "a ping sent during the drain got no answer: " << e.what();
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));

@@ -399,14 +399,19 @@ TEST(ServiceTest, PriorityOrderOnSingleWorker) {
   JobScheduler scheduler(&datasets, &metrics, {.num_threads = 1});
   std::mutex mu;
   std::vector<int> started;  // priorities in execution order
+  std::atomic<bool> blocker_running{false};
   std::atomic<bool> release{false};
 
   ProfileJob blocker;
   blocker.dataset = "t";
-  blocker.options.stage_hook = [&release](ProfileStage, double) {
+  blocker.options.stage_hook = [&blocker_running, &release](ProfileStage, double) {
+    blocker_running.store(true);
     while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
   scheduler.submit(blocker);
+  // The lone worker must hold the blocker before the jobs arrive; a job
+  // queued beside it would be popped by priority ahead of it.
+  while (!blocker_running.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   // Submitted low-priority first; the high-priority job must still run first
   // once the blocker releases the lone worker.
