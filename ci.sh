@@ -145,9 +145,10 @@ cmake --build build-asan -j "$JOBS" --target \
 ./build-asan/tests/partition_intersect_test
 # The extended FD-tree is one chunked node arena addressed by 32-bit index;
 # a child is slot children + rank(attr) of a block that moves (and is
-# recycled) as it grows. A wrong rank or a stale block offset reads another
-# node's slot, which the random-induction oracles here would only sometimes
-# notice and ASan always does. The DDM rewrites ids in arena scans.
+# recycled) as it grows. An offset past the slot pool or an arena chunk is
+# what ASan reports; a wrong one inside them sends a walk to another node,
+# which the brute-force oracles here catch. The DDM rewrites ids in arena
+# scans.
 ./build-asan/tests/extended_fd_tree_test
 ./build-asan/tests/fdtree_induction_chain_test
 ./build-asan/tests/ddm_test

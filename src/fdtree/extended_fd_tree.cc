@@ -5,7 +5,7 @@
 
 namespace dhyfd {
 
-// The pointer-based node was 72 B plus its owning pointer in the parent.
+// 80 B: no more than a heap-allocated 72 B node plus its owning pointer.
 static_assert(sizeof(ExtendedFdTree::Node) <= 80, "FD-tree node outgrew its budget");
 
 ExtendedFdTree::ExtendedFdTree(int num_attrs) : num_attrs_(num_attrs) {
