@@ -31,8 +31,8 @@ int Main(int argc, char** argv) {
   for (const char* name : {"ncvoter", "bridges", "echo", "hepatitis", "horse",
                            "adult", "letter"}) {
     Relation r = LoadBenchmark(name, flags.get_int("rows", 0));
-    DiscoveryResult classic = Fdep(FdepVariant::kClassic, tl).discover(r);
-    DiscoveryResult synergized = Fdep(FdepVariant::kSorted, tl).discover(r);
+    DiscoveryResult classic = DiscoverWithin(Fdep(FdepVariant::kClassic), r, tl);
+    DiscoveryResult synergized = DiscoverWithin(Fdep(FdepVariant::kSorted), r, tl);
     double speedup = synergized.stats.seconds > 0 && !classic.stats.timed_out
                          ? classic.stats.seconds / synergized.stats.seconds
                          : 0;
@@ -47,8 +47,8 @@ int Main(int argc, char** argv) {
   PrintRule(34);
   for (const char* name : {"ncvoter", "plista", "flight", "horse", "hepatitis"}) {
     Relation r = LoadBenchmark(name, flags.get_int("rows", 0));
-    DiscoveryResult f1 = Fdep(FdepVariant::kNonRedundant, tl).discover(r);
-    DiscoveryResult f2 = Fdep(FdepVariant::kSorted, tl).discover(r);
+    DiscoveryResult f1 = DiscoverWithin(Fdep(FdepVariant::kNonRedundant), r, tl);
+    DiscoveryResult f2 = DiscoverWithin(Fdep(FdepVariant::kSorted), r, tl);
     std::printf("%-11s %10s %10s\n", name, FmtTime(f1.stats).c_str(),
                 FmtTime(f2.stats).c_str());
     std::fflush(stdout);
@@ -63,15 +63,11 @@ int Main(int argc, char** argv) {
     Relation r = LoadBenchmark(name, flags.get_int("rows", 0));
     DhyfdOptions off;
     off.enable_ddm = false;
-    off.time_limit_seconds = tl;
-    DhyfdOptions ratio3;
-    ratio3.time_limit_seconds = tl;
     DhyfdOptions always;
     always.ratio_threshold = 1e-9;
-    always.time_limit_seconds = tl;
-    DiscoveryResult r_off = Dhyfd(off).discover(r);
-    DiscoveryResult r_3 = Dhyfd(ratio3).discover(r);
-    DiscoveryResult r_always = Dhyfd(always).discover(r);
+    DiscoveryResult r_off = DiscoverWithin(Dhyfd(off), r, tl);
+    DiscoveryResult r_3 = DiscoverWithin(Dhyfd(), r, tl);
+    DiscoveryResult r_always = DiscoverWithin(Dhyfd(always), r, tl);
     std::printf("%-11s %12s %12s %12s %10d\n", name, FmtTime(r_off.stats).c_str(),
                 FmtTime(r_3.stats).c_str(), FmtTime(r_always.stats).c_str(),
                 r_3.stats.ddm_updates);
@@ -81,7 +77,7 @@ int Main(int argc, char** argv) {
   std::printf("\n4) classic FD-tree labeling overhead (ncvoter non-FDs)\n");
   {
     Relation r = LoadBenchmark("ncvoter", flags.get_int("rows", 0));
-    DiscoveryResult res = Fdep(FdepVariant::kClassic, tl).discover(r);
+    DiscoveryResult res = DiscoverWithin(Fdep(FdepVariant::kClassic), r, tl);
     // Rebuild the final classic tree to inspect label counts.
     FdTree tree(r.num_cols());
     for (const Fd& fd : res.fds.fds) tree.add(fd.lhs, fd.rhs.first());

@@ -31,7 +31,7 @@ int Main(int argc, char** argv) {
     std::printf("%-11s", name.c_str());
     int64_t fds = -1;
     for (const std::string& algo : algos) {
-      DiscoveryResult res = MakeDiscovery(algo, tl)->discover(r);
+      DiscoveryResult res = DiscoverWithin(algo, r, tl);
       std::printf(" %10s", FmtTime(res.stats).c_str());
       if (!res.stats.timed_out) fds = res.fds.size();
       std::fflush(stdout);

@@ -31,7 +31,7 @@ int Main(int argc, char** argv) {
 
   for (const std::string& name : datasets) {
     Relation r = LoadBenchmark(name, flags.get_int("rows", 0));
-    DiscoveryResult res = MakeDiscovery("dhyfd", tl)->discover(r);
+    DiscoveryResult res = DiscoverWithin("dhyfd", r, tl);
     if (res.stats.timed_out) {
       std::printf("%s: discovery TL\n\n", name.c_str());
       continue;

@@ -32,7 +32,7 @@ int Main(int argc, char** argv) {
   for (const std::string& fs : fragments) {
     int rows = std::atoi(fs.c_str());
     Relation r = LoadBenchmark("ncvoter", rows);
-    DiscoveryResult res = MakeDiscovery("dhyfd", tl)->discover(r);
+    DiscoveryResult res = DiscoverWithin("dhyfd", r, tl);
     if (res.stats.timed_out) {
       std::printf("ncvoter_%sr: discovery TL\n\n", fs.c_str());
       continue;

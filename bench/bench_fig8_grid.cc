@@ -23,7 +23,7 @@ void Grid(const Relation& base, const std::vector<int>& row_steps,
       std::string best = "-";
       double best_time = 1e18;
       for (const std::string& algo : algos) {
-        DiscoveryResult res = MakeDiscovery(algo, tl)->discover(frag);
+        DiscoveryResult res = DiscoverWithin(algo, frag, tl);
         if (!res.stats.timed_out && res.stats.seconds < best_time) {
           best_time = res.stats.seconds;
           best = algo;

@@ -23,7 +23,7 @@ void Sweep(const Relation& frag, const char* label, double tl) {
   std::printf("%10s", label);
   int64_t fds = -1;
   for (const std::string& algo : kAlgos) {
-    DiscoveryResult res = MakeDiscovery(algo, tl)->discover(frag);
+    DiscoveryResult res = DiscoverWithin(algo, frag, tl);
     std::printf(" %10s", FmtTime(res.stats).c_str());
     if (!res.stats.timed_out) fds = res.fds.size();
     std::fflush(stdout);

@@ -38,7 +38,7 @@ int Main(int argc, char** argv) {
                   sem == NullSemantics::kNullEqualsNull ? "null=" : "null!=");
       int64_t fds = -1;
       for (const std::string& algo : algos) {
-        DiscoveryResult res = MakeDiscovery(algo, tl)->discover(r);
+        DiscoveryResult res = DiscoverWithin(algo, r, tl);
         std::printf(" %10s", FmtTime(res.stats).c_str());
         if (!res.stats.timed_out) fds = res.fds.size();
         std::fflush(stdout);

@@ -57,7 +57,7 @@ Cell RunCell(const std::string& algo, const Relation& r, int threads,
   ThreadPool pool(threads);
   for (int rep = 0; rep < reps; ++rep) {
     auto discovery =
-        threads > 1 ? MakeDiscovery(algo, 0, threads, &pool)
+        threads > 1 ? MakeDiscovery(algo, threads, &pool)
                     : MakeDiscovery(algo);
     DiscoveryResult res = discovery->discover(r);
     if (rep == 0 || res.stats.seconds < cell.seconds) {

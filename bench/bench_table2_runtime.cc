@@ -52,7 +52,7 @@ int Main(int argc, char** argv) {
     int64_t fd_count = -1;
     std::string json_cells;
     for (const std::string& algo : algos) {
-      DiscoveryResult res = MakeDiscovery(algo, tl)->discover(r);
+      DiscoveryResult res = DiscoverWithin(algo, r, tl);
       cells[algo] = FmtTime(res.stats);
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.1f", res.stats.memory_mb);

@@ -39,7 +39,7 @@ int Main(int argc, char** argv) {
                 name.c_str(), "paper", p.lr, p.lr_occ, p.can, p.can_occ, p.pct_size,
                 p.pct_card, FmtPaper(p.seconds).c_str());
     Relation r = LoadBenchmark(name, flags.get_int("rows", 0));
-    DiscoveryResult res = MakeDiscovery("dhyfd", tl)->discover(r);
+    DiscoveryResult res = DiscoverWithin("dhyfd", r, tl);
     if (res.stats.timed_out) {
       std::printf("%-11s %-9s discovery TL\n", "", "measured");
     } else if (max_cover > 0 && res.fds.size() > max_cover) {

@@ -42,7 +42,7 @@ int Main(int argc, char** argv) {
                   p.values, p.red, p.pct_red, "-", "-");
     }
     Relation r = LoadBenchmark(name, flags.get_int("rows", 0));
-    DiscoveryResult res = MakeDiscovery("dhyfd", tl)->discover(r);
+    DiscoveryResult res = DiscoverWithin("dhyfd", r, tl);
     if (res.stats.timed_out) {
       std::printf("%-11s %-9s discovery TL\n", "", "measured");
     } else if (max_cover > 0 && res.fds.size() > max_cover) {

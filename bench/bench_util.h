@@ -6,12 +6,14 @@
 #include <ctime>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/discovery.h"
 #include "datagen/benchmark_data.h"
 #include "obs/session.h"
 #include "relation/encoder.h"
+#include "util/cancellation.h"
 
 namespace dhyfd::bench {
 
@@ -114,6 +116,21 @@ inline Relation LoadBenchmark(const std::string& name, int rows_override = 0,
                               NullSemantics semantics = NullSemantics::kNullEqualsNull) {
   RawTable table = GenerateBenchmark(name, rows_override);
   return EncodeRelation(table, semantics).relation;
+}
+
+/// Runs `algo` on `r` under a CancelToken expiring `tl` seconds from now
+/// (<= 0 = no limit): the paper's TL budget. A run the expiry stopped has
+/// stats.timed_out set, which FmtTime prints as "TL".
+inline DiscoveryResult DiscoverWithin(FdDiscovery&& algo, const Relation& r, double tl) {
+  CancelToken limit(tl);
+  CancelScope scope(&limit);
+  return algo.discover(r);
+}
+
+/// DiscoverWithin for one of the MakeDiscovery names.
+inline DiscoveryResult DiscoverWithin(const std::string& name, const Relation& r,
+                                      double tl) {
+  return DiscoverWithin(std::move(*MakeDiscovery(name)), r, tl);
 }
 
 /// Formats a measured runtime, or "TL" for timed-out runs.

@@ -9,9 +9,12 @@
 #   2. tier-1            — full -Werror build + every ctest
 #   3. bench             — build-only compile of every bench/ harness
 #   4. tsan              — concurrency tests under ThreadSanitizer, including
-#                          the net server round-trip + backpressure suite and
+#                          the net server round-trip + backpressure suite,
 #                          the pooled encode / sampler / rank / profile
-#                          equivalence tests
+#                          equivalence tests, and the stop signal (the
+#                          CancelToken polled from many threads, and
+#                          sharded discovery stopped by expiry or by a
+#                          cancel from another thread)
 #   5. asan              — partition-arena tests, the flat FD-tree's arena
 #                          (node indices, child-block slots found by bit
 #                          rank, per-depth lists) under random inductions
@@ -98,7 +101,7 @@ cmake -B build-tsan -S . -DDHYFD_SANITIZE=thread -DDHYFD_WERROR=ON
 cmake --build build-tsan -j "$JOBS" --target \
   thread_pool_test service_test live_store_test incr_property_test \
   obs_test trace_propagation_test net_credit_test net_server_test \
-  net_http_test cost_ledger_test parallel_discovery_test
+  net_http_test cost_ledger_test parallel_discovery_test deadline_test
 # halt_on_error makes any race abort the run; TSan also reports threads
 # still running at exit, which covers the "zero leaked threads" check.
 # obs_test / trace_propagation_test hammer the tracer's lock-free per-thread
@@ -124,8 +127,13 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/cost_ledger_test
 # concurrency: the parallel == sequential cover equivalence is asserted here
 # with TSan watching the help-first shard claims and the obs-delta relay. The
 # per-column encoder, the sampler's in-shard dedupe against the shared seen
-# set, and the rank shards' atomic cell marks are checked the same way.
+# set, and the rank shards' atomic cell marks are checked the same way, as
+# is every validation shard polling one expiring or cancelled token.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_discovery_test
+# deadline_test: CancelToken's cancel/expiry race (many pollers recording
+# the expiry while another thread cancels) and every algorithm under an
+# expiring token.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/deadline_test
 
 echo
 echo "=== asan: partition arena indexing under AddressSanitizer ==="

@@ -14,6 +14,7 @@
 #include "datagen/benchmark_data.h"
 #include "relation/csv.h"
 #include "relation/encoder.h"
+#include "util/cancellation.h"
 
 int main(int argc, char** argv) {
   using namespace dhyfd;
@@ -30,7 +31,11 @@ int main(int argc, char** argv) {
   std::printf("%-8s %10s %8s %12s %12s %12s %10s\n", "algo", "time_s", "#FD",
               "validations", "pairs", "refinements", "mem_MB");
   for (const std::string& name : AllDiscoveryNames()) {
-    DiscoveryResult res = MakeDiscovery(name, tl)->discover(r);
+    // The time limit is an expiring stop signal bound to this thread; every
+    // algorithm polls it and flags stats.timed_out when it fires.
+    CancelToken limit(tl);
+    CancelScope scope(&limit);
+    DiscoveryResult res = MakeDiscovery(name)->discover(r);
     if (res.stats.timed_out) {
       std::printf("%-8s %10s\n", name.c_str(), "TL");
       continue;

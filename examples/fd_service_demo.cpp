@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
 
   scheduler.wait_all();
 
-  std::printf("%-4s %-12s %-7s %-10s %9s %9s  %s\n", "id", "dataset", "algo",
+  std::printf("%-4s %-12s %-7s %-16s %9s %9s  %s\n", "id", "dataset", "algo",
               "state", "queued_s", "run_s", "detail");
   auto print_row = [](const JobHandlePtr& h) {
     std::string detail;
@@ -108,13 +108,16 @@ int main(int argc, char** argv) {
       const ProfileReport& rep = h->report();
       detail = "|L-r|=" + std::to_string(rep.discovery.fds.size()) +
                " |Can|=" + std::to_string(rep.canonical.size());
-      if (rep.discovery.stats.timed_out) detail += " (timed out: partial)";
+    } else if (h->state() == JobState::kDeadlineExpired) {
+      detail = "time limit hit: |L-r|=" +
+               std::to_string(h->report().discovery.fds.size()) +
+               " partial, no canonical cover or ranking";
     } else if (h->state() == JobState::kFailed) {
       detail = h->error();
     } else {
       detail = "stopped early";
     }
-    std::printf("%-4llu %-12s %-7s %-10s %9.4f %9.4f  %s\n",
+    std::printf("%-4llu %-12s %-7s %-16s %9.4f %9.4f  %s\n",
                 static_cast<unsigned long long>(h->id()),
                 h->job().dataset.c_str(), h->job().options.algorithm.c_str(),
                 JobStateName(h->state()), h->queue_seconds(), h->run_seconds(),

@@ -3,21 +3,18 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "util/cancellation.h"
+
 namespace dhyfd {
 
 std::vector<AttributeSet> ComputeAllAgreeSets(const Relation& r,
-                                              int64_t* pairs_compared,
-                                              const Deadline* deadline,
-                                              bool* timed_out) {
+                                              int64_t* pairs_compared) {
   std::unordered_set<AttributeSet, AttributeSetHash> distinct;
   const RowId n = r.num_rows();
   const int m = r.num_cols();
   int64_t pairs = 0;
   for (RowId i = 0; i < n; ++i) {
-    if (deadline != nullptr && deadline->expired()) {
-      if (timed_out != nullptr) *timed_out = true;
-      break;
-    }
+    if (CancelScope::CurrentCancelled()) break;
     for (RowId j = i + 1; j < n; ++j) {
       AttributeSet ag;
       for (AttrId a = 0; a < m; ++a) {

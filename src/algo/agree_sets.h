@@ -5,18 +5,16 @@
 
 #include "relation/relation.h"
 #include "util/attribute_set.h"
-#include "util/deadline.h"
 
 namespace dhyfd {
 
 /// The distinct agree sets ag(t, t') over all pairs of distinct tuples
 /// (paper Section IV-A). Each agree set X implies the non-FD X !-> R - X.
 /// O(rows^2 * cols); this is the row-based algorithms' core cost.
-/// If `deadline` fires, computation stops early and *timed_out is set.
+/// Stops early, returning a partial result, if the caller's CancelScope
+/// token fires.
 std::vector<AttributeSet> ComputeAllAgreeSets(const Relation& r,
-                                              int64_t* pairs_compared = nullptr,
-                                              const Deadline* deadline = nullptr,
-                                              bool* timed_out = nullptr);
+                                              int64_t* pairs_compared = nullptr);
 
 /// Keeps only maximal agree sets (none a subset of another). NOTE: this is
 /// NOT a complete negative cover on its own — a subsumed agree set Z of

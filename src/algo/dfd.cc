@@ -4,7 +4,7 @@
 
 #include "algo/hitting_set.h"
 #include "partition/partition_memo.h"
-#include "util/deadline.h"
+#include "util/cancellation.h"
 #include "util/memory.h"
 #include "util/timer.h"
 
@@ -28,16 +28,11 @@ AttributeSet MaximizeNonDep(PartitionMemo& memo, AttributeSet x, AttrId a,
 DiscoveryResult Dfd::discover(const Relation& r) {
   Timer timer;
   MemoryWatermark mem;
-  Deadline deadline(time_limit_seconds_);
   DiscoveryResult result;
   const int m = r.num_cols();
   PartitionMemo memo(r);
 
-  for (AttrId a = 0; a < m && !result.stats.timed_out; ++a) {
-    if (deadline.expired()) {
-      result.stats.timed_out = true;
-      break;
-    }
+  for (AttrId a = 0; a < m && !CancelScope::CurrentCancelled(); ++a) {
     AttributeSet rest = AttributeSet::full(m);
     rest.reset(a);
     ++result.stats.validations;
@@ -57,19 +52,16 @@ DiscoveryResult Dfd::discover(const Relation& r) {
     std::vector<AttributeSet> max_nondeps;
     std::vector<AttributeSet> min_deps;
     bool progressing = true;
-    while (progressing && !result.stats.timed_out) {
+    while (progressing && !CancelScope::CurrentCancelled()) {
       progressing = false;
       std::vector<AttributeSet> complements;
       complements.reserve(max_nondeps.size());
       for (const AttributeSet& n : max_nondeps) complements.push_back(rest - n);
       std::vector<AttributeSet> candidates =
-          MinimalHittingSets(complements, 0, &deadline, &result.stats.timed_out);
-      if (result.stats.timed_out) break;
+          MinimalHittingSets(complements);
+      if (CancelScope::CurrentCancelled()) break;
       for (const AttributeSet& x : candidates) {
-        if (deadline.expired()) {
-          result.stats.timed_out = true;
-          break;
-        }
+        if (CancelScope::CurrentCancelled()) break;
         bool known = false;
         for (const AttributeSet& d : min_deps) {
           if (d == x) {
@@ -94,6 +86,7 @@ DiscoveryResult Dfd::discover(const Relation& r) {
 
   result.stats.refinements = memo.partitions_built();
   result.fds.sort();
+  result.stats.timed_out = CancelScope::CurrentCancelled();
   result.stats.seconds = timer.seconds();
   result.stats.memory_mb = mem.delta_peak_mb();
   return result;

@@ -16,13 +16,8 @@ namespace dhyfd {
 /// greedily maximized into new maximal non-dependencies.
 class Dfd : public FdDiscovery {
  public:
-  explicit Dfd(double time_limit_seconds = 0)
-      : time_limit_seconds_(time_limit_seconds) {}
   std::string name() const override { return "dfd"; }
   DiscoveryResult discover(const Relation& r) override;
-
- private:
-  double time_limit_seconds_;
 };
 
 }  // namespace dhyfd

@@ -11,7 +11,7 @@
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
 #include "obs/trace.h"
-#include "util/deadline.h"
+#include "util/cancellation.h"
 #include "util/memory.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -21,7 +21,6 @@ namespace dhyfd {
 DiscoveryResult Dhyfd::discover(const Relation& r) {
   Timer timer;
   MemoryWatermark mem;
-  Deadline deadline(options_.time_limit_seconds);
   DiscoveryResult result;
   const int m = r.num_cols();
   const AttributeSet all = AttributeSet::full(m);
@@ -88,10 +87,7 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
     TraceSpan span(kObsDiscoverInduction);
     SortBySizeDescending(violations);
     for (const AttributeSet& x : violations) {
-      if (deadline.expired()) {
-        result.stats.timed_out = true;
-        break;
-      }
+      if (CancelScope::CurrentCancelled()) break;
       tree.induct(x, all - x);
     }
     ObsAdd(kObsDiscoverInductions, static_cast<int64_t>(violations.size()));
@@ -114,10 +110,7 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
                             size_t end) {
     LevelValidationResult local;
     for (size_t i = begin; i < end; ++i) {
-      if (deadline.expired()) {
-        local.timed_out = true;
-        break;
-      }
+      if (CancelScope::CurrentCancelled()) break;
       const ExtendedFdTree::NodeId n = nodes[i];
       const ExtendedFdTree::Node& node = tree.node(n);
       if (!node.is_fd_node()) continue;
@@ -174,7 +167,7 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   // stops the loop after validating LHSs of max_lhs attributes; anything
   // deeper the tree speculated about is filtered from the collected cover.
   std::vector<std::pair<AttributeSet, AttributeSet>> refuted_fds;
-  while (!candidates.empty() && !result.stats.timed_out &&
+  while (!candidates.empty() && !CancelScope::CurrentCancelled() &&
          (options_.max_lhs == 0 || vl <= options_.max_lhs)) {
     result.stats.levels = vl;
     violations.clear();
@@ -191,7 +184,6 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
       result.stats.pairs_compared += level.pairs_checked;
       result.stats.refinements += level.refinements;
       result.stats.invalidated += level.invalidated;
-      if (level.timed_out) result.stats.timed_out = true;
       violations = std::move(level.violations);
       refuted_fds = std::move(level.refuted_fds);
     }
@@ -205,17 +197,11 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
       TraceSpan induct_span(kObsDiscoverInduction);
       SortBySizeDescending(violations);
       for (const AttributeSet& x : violations) {
-        if (deadline.expired()) {
-          result.stats.timed_out = true;
-          break;
-        }
+        if (CancelScope::CurrentCancelled()) break;
         tree.induct(x, all - x);
       }
       for (const auto& [lhs, refuted] : refuted_fds) {
-        if (deadline.expired()) {
-          result.stats.timed_out = true;
-          break;
-        }
+        if (CancelScope::CurrentCancelled()) break;
         tree.induct(lhs, refuted);
       }
       ObsAdd(kObsDiscoverInductions,
@@ -256,7 +242,8 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
     candidates = tree.level_nodes(vl);
   }
 
-  // Line 30.
+  // Line 30. A run the token stopped collects the FDs validated so far.
+  result.stats.timed_out = CancelScope::CurrentCancelled();
   result.fds = tree.collect();
   if (options_.max_lhs > 0) {
     // Specializations the tree speculated past the arity bound were never

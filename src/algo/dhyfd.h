@@ -29,8 +29,6 @@ struct DhyfdOptions {
   /// validating LHSs of max_lhs attributes and deeper speculative FDs are
   /// dropped from the collected cover.
   int max_lhs = 0;
-  /// Cooperative deadline in seconds (0 = none).
-  double time_limit_seconds = 0;
   /// Threads used within this run, including the calling thread (<= 1 =
   /// sequential). Effective only with a worker_pool; the cover is
   /// bit-identical to the sequential one at any degree (see DESIGN.md,

@@ -14,48 +14,43 @@
 namespace dhyfd {
 
 std::unique_ptr<FdDiscovery> MakeDiscovery(const std::string& name,
-                                           double time_limit_seconds,
                                            int parallelism,
                                            ThreadPool* worker_pool) {
-  if (name == "tane") {
-    TaneOptions opt;
-    opt.time_limit_seconds = time_limit_seconds;
-    return std::make_unique<Tane>(opt);
-  }
-  if (name == "fdep") {
-    return std::make_unique<Fdep>(FdepVariant::kClassic, time_limit_seconds);
-  }
-  if (name == "fdep1") {
-    return std::make_unique<Fdep>(FdepVariant::kNonRedundant, time_limit_seconds);
-  }
-  if (name == "fdep2") {
-    return std::make_unique<Fdep>(FdepVariant::kSorted, time_limit_seconds);
-  }
+  if (name == "tane") return std::make_unique<Tane>();
+  if (name == "fdep") return std::make_unique<Fdep>(FdepVariant::kClassic);
+  if (name == "fdep1") return std::make_unique<Fdep>(FdepVariant::kNonRedundant);
+  if (name == "fdep2") return std::make_unique<Fdep>(FdepVariant::kSorted);
   if (name == "hyfd") {
     HyfdOptions opt;
-    opt.time_limit_seconds = time_limit_seconds;
     opt.parallelism = parallelism;
     opt.worker_pool = worker_pool;
     return std::make_unique<Hyfd>(opt);
   }
   if (name == "dhyfd") {
     DhyfdOptions opt;
-    opt.time_limit_seconds = time_limit_seconds;
     opt.parallelism = parallelism;
     opt.worker_pool = worker_pool;
     return std::make_unique<Dhyfd>(opt);
   }
   // Extra baselines beyond the paper's Table II line-up.
-  if (name == "dfd") return std::make_unique<Dfd>(time_limit_seconds);
+  if (name == "dfd") return std::make_unique<Dfd>();
   if (name == "fastfds") {
-    return std::make_unique<RowBasedTransversal>(RowBasedVariant::kFastFds,
-                                                 time_limit_seconds);
+    return std::make_unique<RowBasedTransversal>(RowBasedVariant::kFastFds);
   }
   if (name == "depminer") {
-    return std::make_unique<RowBasedTransversal>(RowBasedVariant::kDepMiner,
-                                                 time_limit_seconds);
+    return std::make_unique<RowBasedTransversal>(RowBasedVariant::kDepMiner);
   }
   throw std::invalid_argument("unknown discovery algorithm: " + name);
+}
+
+std::unique_ptr<FdDiscovery> MakeDiscovery(const std::string& name,
+                                           double zero_budget, int parallelism,
+                                           ThreadPool* worker_pool) {
+  if (zero_budget != 0) {
+    throw std::invalid_argument(
+        "MakeDiscovery takes no time budget; bind an expiring CancelToken");
+  }
+  return MakeDiscovery(name, parallelism, worker_pool);
 }
 
 const std::vector<std::string>& AllDiscoveryNames() {

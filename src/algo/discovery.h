@@ -25,7 +25,8 @@ struct DiscoveryStats {
   int64_t refinements = 0;         // stripped-partition cluster refinements
   int ddm_updates = 0;             // DDM rebuilds (DHyFD only)
   int levels = 0;                  // validation levels processed
-  /// True if the run was abandoned at its time limit; fds is then partial
+  /// True if the caller's CancelScope token (util/cancellation.h) had fired,
+  /// by cancel or by expiry, when the run returned; fds is then partial
   /// (the paper reports such runs as "TL").
   bool timed_out = false;
 };
@@ -48,14 +49,23 @@ class FdDiscovery {
 
 /// Names accepted by MakeDiscovery: "tane", "fdep", "fdep1", "fdep2",
 /// "hyfd", "dhyfd", plus the extra row-based baselines "fastfds" and
-/// "depminer". time_limit_seconds > 0 sets a cooperative deadline.
-/// parallelism > 1 with a worker_pool shards the hybrid algorithms (hyfd,
-/// dhyfd) over the pool; other algorithms ignore it. Parallel runs return
-/// bit-identical covers to sequential ones.
+/// "depminer". parallelism > 1 with a worker_pool shards the hybrid
+/// algorithms (hyfd, dhyfd) over the pool; other algorithms ignore it.
+/// Parallel runs return bit-identical covers to sequential ones. A run is
+/// bounded by the caller's CancelScope token, e.g.
+///   CancelToken tl(seconds);
+///   CancelScope scope(&tl);
 std::unique_ptr<FdDiscovery> MakeDiscovery(const std::string& name,
-                                           double time_limit_seconds = 0,
                                            int parallelism = 1,
                                            ThreadPool* worker_pool = nullptr);
+
+/// The former four-argument form, whose second argument was a time budget.
+/// Kept only because the perfbench harness still calls it with 0; any other
+/// value throws std::invalid_argument (bind an expiring CancelToken
+/// instead).
+std::unique_ptr<FdDiscovery> MakeDiscovery(const std::string& name,
+                                           double zero_budget, int parallelism,
+                                           ThreadPool* worker_pool);
 
 /// All six algorithm names in the paper's Table II order.
 const std::vector<std::string>& AllDiscoveryNames();

@@ -5,6 +5,7 @@
 #include "algo/agree_sets.h"
 #include "fdtree/extended_fd_tree.h"
 #include "fdtree/fd_tree.h"
+#include "util/cancellation.h"
 #include "util/memory.h"
 #include "util/timer.h"
 
@@ -25,13 +26,12 @@ std::string Fdep::name() const {
 DiscoveryResult Fdep::discover(const Relation& r) {
   Timer timer;
   MemoryWatermark mem;
-  Deadline deadline(time_limit_seconds_);
   DiscoveryResult result;
   const int m = r.num_cols();
   const AttributeSet all = AttributeSet::full(m);
 
-  std::vector<AttributeSet> agree_sets = ComputeAllAgreeSets(
-      r, &result.stats.pairs_compared, &deadline, &result.stats.timed_out);
+  std::vector<AttributeSet> agree_sets =
+      ComputeAllAgreeSets(r, &result.stats.pairs_compared);
   result.stats.sampled_non_fds = static_cast<int64_t>(agree_sets.size());
   mem.sample();
 
@@ -42,10 +42,7 @@ DiscoveryResult Fdep::discover(const Relation& r) {
     FdTree tree(m);
     for (AttrId a = 0; a < m; ++a) tree.add(AttributeSet(), a);
     for (const AttributeSet& x : agree_sets) {
-      if (deadline.expired()) {
-        result.stats.timed_out = true;
-        break;
-      }
+      if (CancelScope::CurrentCancelled()) break;
       (x.complement(m)).for_each([&](AttrId a) { tree.induct(x, a); });
     }
     result.fds = tree.collect();
@@ -57,10 +54,7 @@ DiscoveryResult Fdep::discover(const Relation& r) {
     ExtendedFdTree tree(m);
     tree.init_root_fd(all);
     for (const NonFd& nf : cover) {
-      if (deadline.expired()) {
-        result.stats.timed_out = true;
-        break;
-      }
+      if (CancelScope::CurrentCancelled()) break;
       tree.induct(nf.lhs, nf.rhs);
     }
     result.fds = tree.collect();
@@ -72,10 +66,7 @@ DiscoveryResult Fdep::discover(const Relation& r) {
     ExtendedFdTree tree(m);
     tree.init_root_fd(all);
     for (const AttributeSet& x : agree_sets) {
-      if (deadline.expired()) {
-        result.stats.timed_out = true;
-        break;
-      }
+      if (CancelScope::CurrentCancelled()) break;
       tree.induct(x, all - x);
     }
     result.fds = tree.collect();
@@ -83,6 +74,7 @@ DiscoveryResult Fdep::discover(const Relation& r) {
   }
 
   result.fds.sort();
+  result.stats.timed_out = CancelScope::CurrentCancelled();
   result.stats.seconds = timer.seconds();
   size_t logical = agree_sets.capacity() * sizeof(AttributeSet) + tree_bytes;
   result.stats.memory_mb = std::max(

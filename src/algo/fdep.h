@@ -22,16 +22,12 @@ enum class FdepVariant {
 /// pairs. Exact but O(rows^2); the paper's row-scalability baseline.
 class Fdep : public FdDiscovery {
  public:
-  /// time_limit_seconds > 0 sets a cooperative deadline (paper's TL).
-  explicit Fdep(FdepVariant variant = FdepVariant::kSorted,
-                double time_limit_seconds = 0)
-      : variant_(variant), time_limit_seconds_(time_limit_seconds) {}
+  explicit Fdep(FdepVariant variant = FdepVariant::kSorted) : variant_(variant) {}
   std::string name() const override;
   DiscoveryResult discover(const Relation& r) override;
 
  private:
   FdepVariant variant_;
-  double time_limit_seconds_;
 };
 
 }  // namespace dhyfd

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/cancellation.h"
+
 namespace dhyfd {
 
 bool HitsAll(const std::vector<AttributeSet>& family, const AttributeSet& candidate) {
@@ -12,9 +14,7 @@ bool HitsAll(const std::vector<AttributeSet>& family, const AttributeSet& candid
 }
 
 std::vector<AttributeSet> MinimalHittingSets(const std::vector<AttributeSet>& family,
-                                             size_t max_results,
-                                             const Deadline* deadline,
-                                             bool* timed_out) {
+                                             size_t max_results) {
   // An empty set in the family cannot be hit: no transversal exists.
   for (const AttributeSet& s : family) {
     if (s.empty()) return {};
@@ -31,10 +31,7 @@ std::vector<AttributeSet> MinimalHittingSets(const std::vector<AttributeSet>& fa
 
   std::vector<AttributeSet> transversals = {AttributeSet()};
   for (const AttributeSet& s : sorted) {
-    if (deadline != nullptr && deadline->expired()) {
-      if (timed_out != nullptr) *timed_out = true;
-      break;
-    }
+    if (CancelScope::CurrentCancelled()) break;
     std::vector<AttributeSet> kept;
     std::vector<AttributeSet> extended;
     for (const AttributeSet& t : transversals) {
@@ -53,10 +50,7 @@ std::vector<AttributeSet> MinimalHittingSets(const std::vector<AttributeSet>& fa
     // cannot dominate kept ones, and equal-new-attr extensions of distinct
     // minimal t's cannot contain each other unless via kept-check).
     for (const AttributeSet& cand : extended) {
-      if (deadline != nullptr && deadline->expired()) {
-        if (timed_out != nullptr) *timed_out = true;
-        break;
-      }
+      if (CancelScope::CurrentCancelled()) break;
       bool dominated = false;
       for (const AttributeSet& t : kept) {
         if (t.is_subset_of(cand)) {

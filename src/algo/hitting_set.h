@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "util/attribute_set.h"
-#include "util/deadline.h"
 
 namespace dhyfd {
 
@@ -17,14 +16,12 @@ namespace dhyfd {
 ///
 /// Implementation: Berge's incremental algorithm with minimization at each
 /// step. Exponential in the worst case (the output can be exponential);
-/// `max_results` caps the enumeration (0 = unlimited). If `deadline` fires
-/// the enumeration stops and *timed_out is set; the returned sets are then
+/// `max_results` caps the enumeration (0 = unlimited). If the caller's
+/// CancelScope token fires the enumeration stops; the returned sets are then
 /// partial (they may miss transversals and need not hit the unprocessed
 /// family members) and must only be used as a best-effort answer.
 std::vector<AttributeSet> MinimalHittingSets(const std::vector<AttributeSet>& family,
-                                             size_t max_results = 0,
-                                             const Deadline* deadline = nullptr,
-                                             bool* timed_out = nullptr);
+                                             size_t max_results = 0);
 
 /// True if `candidate` intersects every set of the family.
 bool HitsAll(const std::vector<AttributeSet>& family, const AttributeSet& candidate);

@@ -11,7 +11,7 @@
 #include "obs/obs_schema.gen.h"
 #include "obs/trace.h"
 #include "partition/partition_ops.h"
-#include "util/deadline.h"
+#include "util/cancellation.h"
 #include "util/memory.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -21,7 +21,6 @@ namespace dhyfd {
 DiscoveryResult Hyfd::discover(const Relation& r) {
   Timer timer;
   MemoryWatermark mem;
-  Deadline deadline(options_.time_limit_seconds);
   DiscoveryResult result;
   const int m = r.num_cols();
   const AttributeSet all = AttributeSet::full(m);
@@ -56,10 +55,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
   auto induct_sorted = [&](std::vector<AttributeSet> non_fds) {
     SortBySizeDescending(non_fds);
     for (const AttributeSet& x : non_fds) {
-      if (deadline.expired()) {
-        result.stats.timed_out = true;
-        break;
-      }
+      if (CancelScope::CurrentCancelled()) break;
       tree.induct(x, all - x);
     }
   };
@@ -89,7 +85,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
   // Validation phase, level by level. Violations are inducted after each
   // level; a level with too many invalidations triggers more sampling.
   int vl = 1;
-  while (vl <= tree.depth() && !result.stats.timed_out) {
+  while (vl <= tree.depth() && !CancelScope::CurrentCancelled()) {
     result.stats.levels = vl;
     std::vector<ExtendedFdTree::NodeId> candidates = tree.level_nodes(vl);
     // Candidate validation shards over the pool: per-candidate work is
@@ -100,10 +96,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
                               size_t end) {
       LevelValidationResult local;
       for (size_t i = begin; i < end; ++i) {
-        if (deadline.expired()) {
-          local.timed_out = true;
-          break;
-        }
+        if (CancelScope::CurrentCancelled()) break;
         const ExtendedFdTree::NodeId n = candidates[i];
         if (!tree.node(n).is_fd_node()) continue;
         AttributeSet lhs = tree.path_of(n);
@@ -148,7 +141,6 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
     result.stats.validations += level.validations;
     result.stats.pairs_compared += level.pairs_checked;
     result.stats.refinements += level.refinements;
-    if (level.timed_out) result.stats.timed_out = true;
     induct_sorted(std::move(level.violations));
     mem.sample();
     logical_peak = std::max(logical_peak, 2 * static_bytes + tree.memory_bytes());
@@ -160,6 +152,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
     ++vl;
   }
 
+  result.stats.timed_out = CancelScope::CurrentCancelled();
   result.fds = tree.collect();
   result.fds.sort();
   result.stats.pairs_compared += sampler.pairs_compared();

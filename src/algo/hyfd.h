@@ -15,8 +15,6 @@ struct HyfdOptions {
   double validation_switch_threshold = 0.2;
   /// Cap on sampling window growth per sampling phase.
   int max_windows_per_phase = 4;
-  /// Cooperative deadline in seconds (0 = none).
-  double time_limit_seconds = 0;
   /// Threads used within this run, including the calling thread (<= 1 =
   /// sequential). Effective only with a worker_pool; the cover is
   /// bit-identical to the sequential one at any degree.

@@ -4,7 +4,7 @@
 
 #include "algo/agree_sets.h"
 #include "algo/hitting_set.h"
-#include "util/deadline.h"
+#include "util/cancellation.h"
 #include "util/memory.h"
 #include "util/timer.h"
 
@@ -13,19 +13,14 @@ namespace dhyfd {
 DiscoveryResult RowBasedTransversal::discover(const Relation& r) {
   Timer timer;
   MemoryWatermark mem;
-  Deadline deadline(time_limit_seconds_);
   DiscoveryResult result;
   const int m = r.num_cols();
 
-  std::vector<AttributeSet> agree_sets = ComputeAllAgreeSets(
-      r, &result.stats.pairs_compared, &deadline, &result.stats.timed_out);
+  std::vector<AttributeSet> agree_sets =
+      ComputeAllAgreeSets(r, &result.stats.pairs_compared);
   result.stats.sampled_non_fds = static_cast<int64_t>(agree_sets.size());
 
-  for (AttrId a = 0; a < m && !result.stats.timed_out; ++a) {
-    if (deadline.expired()) {
-      result.stats.timed_out = true;
-      break;
-    }
+  for (AttrId a = 0; a < m && !CancelScope::CurrentCancelled(); ++a) {
     // Agree sets relevant to RHS a: those not containing a. Maximality may
     // only be applied per attribute (a globally dominated agree set can
     // still be the strongest constraint for attributes its dominator
@@ -59,14 +54,14 @@ DiscoveryResult RowBasedTransversal::discover(const Relation& r) {
       ++result.stats.validations;
       continue;
     }
-    std::vector<AttributeSet> lhss =
-        MinimalHittingSets(family, 0, &deadline, &result.stats.timed_out);
+    std::vector<AttributeSet> lhss = MinimalHittingSets(family);
     result.stats.validations += static_cast<int64_t>(lhss.size());
-    if (result.stats.timed_out) break;
+    if (CancelScope::CurrentCancelled()) break;
     for (const AttributeSet& lhs : lhss) result.fds.add(Fd(lhs, a));
   }
 
   result.fds.sort();
+  result.stats.timed_out = CancelScope::CurrentCancelled();
   result.stats.seconds = timer.seconds();
   size_t logical = agree_sets.capacity() * sizeof(AttributeSet);
   result.stats.memory_mb = std::max(

@@ -22,9 +22,8 @@ enum class RowBasedVariant {
 /// enumeration; the extra baselines for `bench_extra_rowbased`.
 class RowBasedTransversal : public FdDiscovery {
  public:
-  explicit RowBasedTransversal(RowBasedVariant variant = RowBasedVariant::kFastFds,
-                               double time_limit_seconds = 0)
-      : variant_(variant), time_limit_seconds_(time_limit_seconds) {}
+  explicit RowBasedTransversal(RowBasedVariant variant = RowBasedVariant::kFastFds)
+      : variant_(variant) {}
   std::string name() const override {
     return variant_ == RowBasedVariant::kFastFds ? "fastfds" : "depminer";
   }
@@ -32,7 +31,6 @@ class RowBasedTransversal : public FdDiscovery {
 
  private:
   RowBasedVariant variant_;
-  double time_limit_seconds_;
 };
 
 }  // namespace dhyfd

@@ -8,7 +8,7 @@
 #include "obs/obs_schema.gen.h"
 #include "obs/trace.h"
 #include "partition/partition_ops.h"
-#include "util/deadline.h"
+#include "util/cancellation.h"
 #include "util/memory.h"
 #include "util/timer.h"
 
@@ -64,7 +64,6 @@ class CplusStore {
 DiscoveryResult Tane::discover(const Relation& r) {
   Timer timer;
   MemoryWatermark mem;
-  Deadline deadline(options_.time_limit_seconds);
   DiscoveryResult result;
   const int m = r.num_cols();
   const int64_t empty_error = r.num_rows() > 0 ? r.num_rows() - 1 : 0;
@@ -126,17 +125,14 @@ DiscoveryResult Tane::discover(const Relation& r) {
   size_t logical_peak = 0;
 
   int level_num = 1;
-  while (!level.empty() && !result.stats.timed_out) {
+  while (!level.empty() && !CancelScope::CurrentCancelled()) {
     TraceSpan level_span(kObsDiscoverValidation);
     result.stats.levels = level_num;
     ObsAdd(kObsDiscoverLatticeLevelEntries, static_cast<int64_t>(level.size()));
     if (level_num >= 2) {
       // compute_dependencies for this level.
       for (LevelEntry& e : level) {
-        if (deadline.expired()) {
-          result.stats.timed_out = true;
-          break;
-        }
+        if (CancelScope::CurrentCancelled()) break;
         AttributeSet check = e.attrs & e.cplus;
         check.for_each([&](AttrId a) {
           AttributeSet x_minus_a = e.attrs;
@@ -223,13 +219,10 @@ DiscoveryResult Tane::discover(const Relation& r) {
     LevelIndex next_index;
     for (auto& [prefix, members] : blocks) {
       (void)prefix;
-      if (result.stats.timed_out) break;
+      if (CancelScope::CurrentCancelled()) break;
       for (size_t i = 0; i < members.size(); ++i) {
         for (size_t j = i + 1; j < members.size(); ++j) {
-          if (deadline.expired()) {
-            result.stats.timed_out = true;
-            break;
-          }
+          if (CancelScope::CurrentCancelled()) break;
           const LevelEntry& a = pruned[members[i]];
           const LevelEntry& b = pruned[members[j]];
           AttributeSet xy = a.attrs | b.attrs;
@@ -257,7 +250,7 @@ DiscoveryResult Tane::discover(const Relation& r) {
           next_index.emplace(xy, static_cast<int>(next.size()));
           next.push_back(std::move(e));
         }
-        if (result.stats.timed_out) break;
+        if (CancelScope::CurrentCancelled()) break;
       }
     }
     mem.sample();
@@ -279,6 +272,7 @@ DiscoveryResult Tane::discover(const Relation& r) {
   }
 
   result.fds.sort();
+  result.stats.timed_out = CancelScope::CurrentCancelled();
   result.stats.seconds = timer.seconds();
   result.stats.memory_mb = std::max(
       mem.delta_peak_mb(), static_cast<double>(logical_peak) / (1024.0 * 1024.0));

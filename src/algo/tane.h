@@ -20,9 +20,6 @@ struct TaneOptions {
   /// e(X -> A) = removals / |r| <= epsilon (g3 measure; see
   /// ApproxErrorCalculator). 0 runs the exact error-comparison test.
   double epsilon = 0;
-  /// Cooperative deadline in seconds (0 = none); on expiry the run stops
-  /// with stats.timed_out set, mirroring the paper's TL entries.
-  double time_limit_seconds = 0;
 };
 
 /// TANE (Huhtala et al. 1999): the column-based baseline. Traverses the

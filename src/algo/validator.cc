@@ -144,7 +144,6 @@ void LevelValidationResult::append(LevelValidationResult&& o) {
   pairs_checked += o.pairs_checked;
   refinements += o.refinements;
   invalidated += o.invalidated;
-  timed_out = timed_out || o.timed_out;
 }
 
 ParFdStorageBuilder::ParFdStorageBuilder(std::size_t shards) {

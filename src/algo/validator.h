@@ -64,7 +64,6 @@ struct LevelValidationResult {
   int64_t pairs_checked = 0;
   int64_t refinements = 0;
   int64_t invalidated = 0;
-  bool timed_out = false;
 
   /// Appends `o` after this slice (vectors concatenate, counters sum).
   void append(LevelValidationResult&& o);

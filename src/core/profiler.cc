@@ -49,8 +49,8 @@ ProfileReport Profiler::profile(const Relation& relation) const {
     report.discovery = options_.discovery_override(relation, options_);
   } else {
     std::unique_ptr<FdDiscovery> algo =
-        MakeDiscovery(options_.algorithm, options_.time_limit_seconds,
-                      options_.parallelism, options_.worker_pool);
+        MakeDiscovery(options_.algorithm, options_.parallelism,
+                      options_.worker_pool);
     TraceSpan span(kObsProfileDiscover);
     report.discovery = algo->discover(relation);
   }
@@ -60,8 +60,8 @@ ProfileReport Profiler::profile(const Relation& relation) const {
     options_.stage_hook(ProfileStage::kDiscover, report.timings.discover_seconds);
   }
 
-  // Cancellation is polled between stages as well as inside discovery, so a
-  // cancelled job stops before paying for covers and ranking.
+  // The stop signal (cancel or expiry) is polled between stages as well as
+  // inside them, so a stopped job never pays for covers and ranking.
   if (CancelScope::CurrentCancelled()) {
     report.cancelled = true;
     return report;

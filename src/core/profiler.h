@@ -28,9 +28,6 @@ struct ProfileOptions {
   /// rank it by data redundancy (Section VI); false stops after discovery.
   bool canonicalize_and_rank = true;
   RedundancyMode ranking_mode = RedundancyMode::kExcludingNullRhs;
-  /// Cooperative deadline for the discovery stage in seconds (0 = none),
-  /// wired into util/deadline.h exactly like the paper's TL budget.
-  double time_limit_seconds = 0;
   /// Threads used inside the encode, discovery and rank stages, including
   /// the calling thread (<= 1 = sequential). Effective only with worker_pool
   /// set. Encoding shards by column, discovery by attribute and candidate,
@@ -80,16 +77,20 @@ struct ProfileReport {
   std::vector<FdRedundancy> ranking;
   DatasetRedundancy dataset_redundancy;
   StageTimings timings;
-  /// True if a CancelScope token fired mid-pipeline; later stages were
-  /// skipped and discovery.stats.timed_out may be set. A cancelled report's
-  /// canonical, ranking and dataset_redundancy are always empty.
+  /// True if the caller's CancelScope token fired mid-pipeline, by cancel or
+  /// by expiry (CancelToken::reason() tells which). Every stage polls it; a
+  /// stopped stage returns nothing and later stages are skipped, so a
+  /// cancelled report's canonical, ranking and dataset_redundancy are
+  /// always empty. discovery holds the partial cover, with
+  /// discovery.stats.timed_out set if discovery itself was stopped.
   bool cancelled = false;
 
   /// Multi-line human-readable summary.
   std::string summary() const;
 };
 
-/// The library's quickstart entry point: discover -> cover -> rank.
+/// The library's quickstart entry point: discover -> cover -> rank. A run
+/// is bounded by the caller's CancelScope token (util/cancellation.h).
 class Profiler {
  public:
   explicit Profiler(ProfileOptions options = {}) : options_(options) {}

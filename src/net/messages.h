@@ -76,8 +76,8 @@ struct SubmitDiscoveryMsg {
   std::string algorithm = "dhyfd";
   std::uint8_t semantics = 0;
   std::int32_t priority = 0;
-  /// Per-request deadline, mapped onto the job's cooperative time limit
-  /// (util/deadline.h); 0 = none.
+  /// Per-request deadline, mapped onto the job's time limit
+  /// (ProfileJob::time_limit_seconds); 0 = none.
   std::uint32_t deadline_ms = 0;
   /// How many ranked FDs the response should carry (0 = none).
   std::uint32_t top_k = 0;
@@ -119,8 +119,8 @@ struct SubmitQueryMsg {
   std::string dataset;
   std::uint8_t semantics = 0;
   std::int32_t priority = 0;
-  /// Per-request deadline, mapped onto the job's cooperative time limit
-  /// (util/deadline.h); 0 = none.
+  /// Per-request deadline, mapped onto the job's time limit
+  /// (ProfileJob::time_limit_seconds); 0 = none.
   std::uint32_t deadline_ms = 0;
   /// g3-style error threshold in [0, 1]; 0 = exact discovery.
   double epsilon = 0;

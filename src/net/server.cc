@@ -61,9 +61,10 @@ ProfileJob JobFromSubmit(const SubmitMsg& msg, const TraceContext& ctx) {
   job.dataset = msg.dataset;
   job.options.semantics = SemanticsFromWire(msg.semantics);
   job.priority = msg.priority;
-  // The request deadline becomes the job's cooperative time limit: the
-  // discovery loops poll it via util/deadline.h and stop past-due work
-  // instead of burning a worker on an answer nobody is waiting for.
+  // The request deadline becomes the job's time limit. It arms the job's
+  // CancelToken when the job starts running, and every stage polls that
+  // token, so past-due work stops instead of burning a worker on an answer
+  // nobody is waiting for.
   job.time_limit_seconds = msg.deadline_ms / 1000.0;
   // A hostile parallelism degree is harmless — the scheduler clamps to its
   // pool size — but bound it anyway so the int cast is safe.
@@ -843,20 +844,17 @@ void ProfilingServer::finish_job(const JobHandle& h, std::uint32_t top_k,
     return;
   }
 
-  // A cancelled or deadline-expired run still finishes with a (partial)
-  // report; on the wire that distinction is the state string.
+  // A cancelled or deadline-expired run still finishes with a report of
+  // its partial cover, but no canonical cover, ranking or query answer; on
+  // the wire that distinction is the state string.
   const ProfileReport* report = nullptr;
   try {
     report = &h.report();
   } catch (const std::exception&) {
     // Cancelled before it started: no report, counts stay zero.
   }
-  const char* wire_state = "done";
-  if (h.state() == JobState::kCancelled) {
-    wire_state = fin.outcome = "cancelled";
-  } else if (report != nullptr && report->discovery.stats.timed_out) {
-    wire_state = fin.outcome = "deadline_expired";
-  }
+  const char* wire_state = JobStateName(h.state());
+  if (h.state() != JobState::kDone) fin.outcome = wire_state;
 
   if (query != nullptr) {
     QueryResultMsg msg;

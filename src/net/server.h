@@ -96,7 +96,10 @@ struct ServerOptions {
 /// on one background thread, speaking the length-prefixed RPC protocol of
 /// wire.h/messages.h over TCP, bridging into the in-process service layer:
 ///
-///   kSubmitDiscovery -> JobScheduler (deadline_ms -> cooperative deadline)
+///   kSubmitDiscovery -> JobScheduler (deadline_ms -> the job's time limit,
+///                       an expiry on its CancelToken armed at run start;
+///                       past it, the answer is "deadline_expired" with no
+///                       canonical cover or ranking)
 ///   kRegisterDataset -> DatasetRegistry (+ LiveStore::create when live)
 ///   kQueryCover      -> LiveStore ranking snapshot
 ///   kApplyUpdate     -> LiveStore strand submit

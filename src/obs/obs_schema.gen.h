@@ -107,6 +107,8 @@ inline constexpr char kObsJobsCancelled[] =
     "jobs.cancelled";  // counter
 inline constexpr char kObsJobsCompleted[] =
     "jobs.completed";  // counter
+inline constexpr char kObsJobsDeadlineExpired[] =
+    "jobs.deadline_expired";  // counter
 inline constexpr char kObsJobsFailed[] =
     "jobs.failed";  // counter
 inline constexpr char kObsJobsQueueSeconds[] =
@@ -326,6 +328,7 @@ inline constexpr std::string_view kObsSchemaNames[] = {
     "incr.validations",
     "jobs.cancelled",
     "jobs.completed",
+    "jobs.deadline_expired",
     "jobs.failed",
     "jobs.queue_seconds",
     "jobs.queued",

@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "query/topk.h"
 #include "ranking/redundancy.h"
+#include "util/cancellation.h"
 #include "util/timer.h"
 
 namespace dhyfd {
@@ -34,14 +35,12 @@ std::vector<AttrId> ActiveColumns(const Relation& r, const DiscoveryQuery& q) {
 
 /// Full-cover path: DHyFD with the query's bounds threaded through, then the
 /// whole cover scored in one rank pass and sorted — discovery-then-rank, but
-/// already pruned by epsilon and arity. A cancelled rank pass scores nothing,
-/// so the answer is then empty, never partial.
+/// already pruned by epsilon and arity.
 QueryResult FullDiscoverRanked(const Relation& r, const DiscoveryQuery& q,
                                const QueryEngineOptions& engine_options) {
   DhyfdOptions opts;
   opts.epsilon = q.epsilon;
   opts.max_lhs = q.max_lhs;
-  opts.time_limit_seconds = engine_options.time_limit_seconds;
   opts.parallelism = engine_options.parallelism;
   opts.worker_pool = engine_options.worker_pool;
   DiscoveryResult discovered = Dhyfd(opts).discover(r);
@@ -101,8 +100,9 @@ QueryResult QueryEngine::execute(const Relation& r,
   }
 
   QueryResult result =
-      q.top_k > 0 ? TopKDiscover(*target, q, options_.time_limit_seconds)
-                  : FullDiscoverRanked(*target, q, options_);
+      q.top_k > 0 ? TopKDiscover(*target, q) : FullDiscoverRanked(*target, q, options_);
+  // A stopped run answers nothing rather than a partial ranking.
+  if (CancelScope::CurrentCancelled()) result.fds.clear();
 
   if (projected) {
     // Map attribute ids from projection positions back to the schema.

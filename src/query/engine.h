@@ -9,9 +9,6 @@ namespace dhyfd {
 class ThreadPool;
 
 struct QueryEngineOptions {
-  /// Cooperative deadline in seconds (0 = none); expiry sets
-  /// stats.timed_out and the result is partial.
-  double time_limit_seconds = 0;
   /// Threads used by the full-discovery path (DHyFD and its rank pass),
   /// including the calling thread; the ranked answer is bit-identical at any
   /// degree. The top-k lattice walk is sequential and ignores this.
@@ -25,13 +22,14 @@ struct QueryEngineOptions {
 ///   top_k > 0            -> the rank-driven lattice walk (query/topk.h)
 ///   top_k == 0           -> DHyFD with the query's epsilon / arity bounds
 ///                           threaded through, then ranked in full by one
-///                           ComputeCoverRedundancy pass (a cancelled pass
-///                           answers an empty list)
+///                           ComputeCoverRedundancy pass
 ///
 /// so an unconstrained query (epsilon 0, k 0, unbounded arity) returns
 /// exactly the DHyFD cover in rank order. Column include/exclude scopes run
 /// discovery on a projected copy of the relation; result attribute ids are
-/// mapped back to the original schema.
+/// mapped back to the original schema. Both paths poll the caller's
+/// CancelScope token; a run it stops (cancel or expiry) answers an empty
+/// list, never a partial one.
 class QueryEngine {
  public:
   explicit QueryEngine(QueryEngineOptions options = {}) : options_(options) {}

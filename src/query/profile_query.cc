@@ -14,9 +14,9 @@ std::shared_ptr<QueryResultSlot> BindQueryToProfile(ProfileOptions& options,
           const Relation& relation,
           const ProfileOptions& opts) -> DiscoveryResult {
     // Engine limits come from the options at profile() time, after the
-    // service layer's parallelism clamp and pool injection.
+    // service layer's parallelism clamp and pool injection; the stop signal
+    // is the caller's CancelScope token.
     QueryEngineOptions engine_options;
-    engine_options.time_limit_seconds = opts.time_limit_seconds;
     engine_options.parallelism = opts.parallelism;
     engine_options.worker_pool = opts.worker_pool;
     slot->result = QueryEngine(engine_options).execute(relation, query);

@@ -22,7 +22,7 @@ struct QueryResultSlot {
 /// (approximate thresholds, arity bounds, top-k early termination), keeping
 /// core free of any query dependency: this installs a
 /// ProfileOptions::discovery_override closure that runs QueryEngine with the
-/// options' deadline/parallelism/pool, surfaces the result's cover and stats
+/// options' parallelism/pool, surfaces the result's cover and stats
 /// through the generic DiscoveryResult fields, and stores the full
 /// QueryResult (scores, pruning stats) in the returned slot.
 ///

@@ -9,7 +9,7 @@
 #include "obs/trace.h"
 #include "partition/partition_ops.h"
 #include "ranking/redundancy.h"
-#include "util/deadline.h"
+#include "util/cancellation.h"
 #include "util/timer.h"
 
 namespace dhyfd {
@@ -104,10 +104,8 @@ int64_t FrontierSize(const Level& pruned) {
 
 }  // namespace
 
-QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
-                         double time_limit_seconds) {
+QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q) {
   Timer timer;
-  Deadline deadline(time_limit_seconds);
   QueryResult result;
   const int m = r.num_cols();
   const int64_t empty_error = r.num_rows() > 0 ? r.num_rows() - 1 : 0;
@@ -158,15 +156,12 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
       prev_partitions;
 
   int level_num = 1;
-  while (!level.empty() && !result.stats.timed_out) {
+  while (!level.empty() && !CancelScope::CurrentCancelled()) {
     TraceSpan level_span(kObsQueryLatticeLevel);
     result.stats.levels = level_num;
     if (level_num >= 2) {
       for (LevelEntry& e : level) {
-        if (deadline.expired()) {
-          result.stats.timed_out = true;
-          break;
-        }
+        if (CancelScope::CurrentCancelled()) break;
         AttributeSet check = e.attrs & e.cplus;
         check.for_each([&](AttrId a) {
           AttributeSet x_minus_a = e.attrs;
@@ -257,13 +252,10 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
     Level next;
     for (auto& [prefix, members] : blocks) {
       (void)prefix;
-      if (result.stats.timed_out) break;
+      if (CancelScope::CurrentCancelled()) break;
       for (size_t i = 0; i < members.size(); ++i) {
         for (size_t j = i + 1; j < members.size(); ++j) {
-          if (deadline.expired()) {
-            result.stats.timed_out = true;
-            break;
-          }
+          if (CancelScope::CurrentCancelled()) break;
           const LevelEntry& a = pruned[members[i]];
           const LevelEntry& b = pruned[members[j]];
           AttributeSet xy = a.attrs | b.attrs;
@@ -288,7 +280,7 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
           e.error = e.partition.error();
           next.push_back(std::move(e));
         }
-        if (result.stats.timed_out) break;
+        if (CancelScope::CurrentCancelled()) break;
       }
     }
     prev_partitions.clear();
@@ -300,6 +292,7 @@ QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
   }
 
   result.fds = heap.take_ranked();
+  result.stats.timed_out = CancelScope::CurrentCancelled();
   result.stats.seconds = timer.seconds();
   return result;
 }

@@ -22,9 +22,9 @@ namespace dhyfd {
 /// (see DESIGN.md "Rank-driven queries" for the full argument).
 ///
 /// `r` must already be projected to the query's column scope; attribute ids
-/// in the result refer to r's schema.
-QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q,
-                         double time_limit_seconds);
+/// in the result refer to r's schema. The walk polls the caller's
+/// CancelScope token and sets stats.timed_out when it stops.
+QueryResult TopKDiscover(const Relation& r, const DiscoveryQuery& q);
 
 }  // namespace dhyfd
 

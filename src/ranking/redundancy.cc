@@ -46,12 +46,8 @@ FdRedundancy FdRedundancyFromPartition(const Relation& r, const Fd& fd,
 CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover,
                                        ThreadPool* pool, int parallelism,
                                        const StrippedPartition* rows) {
-  // Helper threads do not inherit the caller's CancelScope, so every shard
-  // polls the caller's token directly.
-  const CancelToken* token = CancelScope::Current();
-  auto cancelled = [token] { return token != nullptr && token->cancelled(); };
   // An already-cancelled run skips the set-up too (the LHS sort).
-  if (cancelled()) return CoverRedundancy();
+  if (CancelScope::CurrentCancelled()) return CoverRedundancy();
   const size_t n = cover.fds.size();
   // Each LHS as an ascending attribute list, flattened: lhs i is
   // attrs[begin[i], begin[i + 1]).
@@ -91,7 +87,7 @@ CoverRedundancy ComputeCoverRedundancy(const Relation& r, const FdSet& cover,
     std::span<const AttrId> path;
     int64_t local_refinements = 0, local_red = 0, local_red_plus0 = 0;
     for (size_t k = first; k < last; ++k) {
-      if ((k - first) % kCancelPollInterval == 0 && cancelled()) {
+      if ((k - first) % kCancelPollInterval == 0 && CancelScope::CurrentCancelled()) {
         stopped.store(true, std::memory_order_relaxed);
         return;
       }

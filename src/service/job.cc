@@ -12,13 +12,13 @@ const char* JobStateName(JobState state) {
     case JobState::kDone: return "done";
     case JobState::kFailed: return "failed";
     case JobState::kCancelled: return "cancelled";
+    case JobState::kDeadlineExpired: return "deadline_expired";
   }
   return "?";
 }
 
 bool JobHandle::finished_locked() const {
-  return state_ == JobState::kDone || state_ == JobState::kFailed ||
-         state_ == JobState::kCancelled;
+  return state_ != JobState::kQueued && state_ != JobState::kRunning;
 }
 
 JobState JobHandle::state() const {

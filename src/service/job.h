@@ -23,8 +23,9 @@ struct ProfileJob {
   ProfileOptions options;
   /// Higher-priority jobs run first; ties run in submission order.
   int priority = 0;
-  /// Per-job cooperative time limit in seconds (0 = none). Overrides
-  /// options.time_limit_seconds when positive.
+  /// Per-job time limit in seconds (0 = none). It arms the job's own
+  /// CancelToken when a worker starts running the job, so queue time does
+  /// not count; every stage polls that token.
   double time_limit_seconds = 0;
   /// Trace id to adopt for this job's span tree (0 = let the scheduler mint
   /// one when tracing is on). Set by the server from the client-stamped
@@ -39,6 +40,7 @@ enum class JobState {
   kDone,       // finished; report() is valid
   kFailed,     // threw; error() has the message
   kCancelled,  // cancel() won: either never started, or stopped early
+  kDeadlineExpired,  // the time limit passed mid-run; stopped early
 };
 
 const char* JobStateName(JobState state);
@@ -55,8 +57,8 @@ class JobHandle {
   bool finished() const DHYFD_EXCLUDES(mu_);
 
   /// Requests cooperative cancellation. A queued job is dropped before it
-  /// starts; a running job stops at its next deadline poll (inside the
-  /// discovery loops or between pipeline stages).
+  /// starts; a running job stops at its next poll of its CancelToken
+  /// (inside any stage's loops or between pipeline stages).
   void cancel();
 
   /// Blocks until the job reaches a terminal state.
@@ -68,10 +70,11 @@ class JobHandle {
   void on_finish(std::function<void(const JobHandle&)> fn)
       DHYFD_EXCLUDES(mu_);
 
-  /// The pipeline's output; valid for kDone, and for kCancelled jobs that
-  /// were stopped mid-run (partial: stages after the cancellation point are
-  /// empty). Throws std::runtime_error for kFailed, and for kCancelled jobs
-  /// that never started. Blocks until terminal.
+  /// The pipeline's output; valid for kDone, and for kCancelled or
+  /// kDeadlineExpired jobs stopped mid-run (report.cancelled is set; the
+  /// stopped stage and every later one are empty). Throws
+  /// std::runtime_error for kFailed, and for kCancelled jobs that never
+  /// started. Blocks until terminal.
   const ProfileReport& report() const DHYFD_EXCLUDES(mu_);
 
   /// Error message for kFailed jobs ("" otherwise).
@@ -119,7 +122,7 @@ class JobHandle {
   /// queue, executed): records `outcome`, wakes waiters, runs on_finish.
   void finish(Outcome outcome) DHYFD_EXCLUDES(mu_);
 
-  /// True for kDone / kFailed / kCancelled.
+  /// True for kDone / kFailed / kCancelled / kDeadlineExpired.
   bool finished_locked() const DHYFD_REQUIRES(mu_);
 
   const std::uint64_t id_;

@@ -144,10 +144,9 @@ void JobScheduler::run_one() {
 }
 
 void JobScheduler::execute(const JobHandlePtr& handle) {
+  // The time limit starts now, so queue time does not count against it.
+  handle->cancel_token_.expire_after(handle->job_.time_limit_seconds);
   ProfileOptions options = handle->job_.options;
-  if (handle->job_.time_limit_seconds > 0) {
-    options.time_limit_seconds = handle->job_.time_limit_seconds;
-  }
   // Intra-job parallelism: this job's discovery shards fan out over the
   // same pool that runs the jobs. Degree is clamped to the pool size; the
   // slot accounting lives in ThreadPool::run_shards, which enlists only
@@ -171,8 +170,8 @@ void JobScheduler::execute(const JobHandlePtr& handle) {
     // The worker runs under the job's trace id, with a per-job sink feeding
     // algorithm counters into the metrics registry and the trace, and a cost
     // scope on top classifying the same counters into this job's ledger.
-    // Every Deadline constructed below (inside the discovery algorithms)
-    // also polls this job's cancel token.
+    // Every stage polls this job's token, which fires on cancel() or once
+    // the time limit passes.
     TraceIdScope trace_scope(handle->trace_id_);
     TelemetrySink sink(metrics_, handle->trace_id_);
     ObsScope obs_scope(&sink);
@@ -183,9 +182,15 @@ void JobScheduler::execute(const JobHandlePtr& handle) {
       std::shared_ptr<const Relation> relation =
           datasets_->get(handle->job_.dataset, options.semantics);
       outcome.report = Profiler(options).profile(*relation);
-      outcome.state = handle->cancel_token_.cancelled() ? JobState::kCancelled
-                                                        : JobState::kDone;
-      outcome.report->cancelled = outcome.state == JobState::kCancelled;
+      // A report the token did not stop is complete, even if the token
+      // fired after the last poll.
+      outcome.state = JobState::kDone;
+      if (outcome.report->cancelled) {
+        outcome.state =
+            handle->cancel_token_.reason() == CancelToken::Reason::kExpired
+                ? JobState::kDeadlineExpired
+                : JobState::kCancelled;
+      }
     } catch (const std::invalid_argument& e) {
       outcome.error = e.what();
       outcome.invalid_request = true;
@@ -216,6 +221,9 @@ void JobScheduler::execute(const JobHandlePtr& handle) {
       break;
     case JobState::kCancelled:
       metrics_->counter(kObsJobsCancelled).inc();
+      break;
+    case JobState::kDeadlineExpired:
+      metrics_->counter(kObsJobsDeadlineExpired).inc();
       break;
     case JobState::kQueued:
     case JobState::kRunning:

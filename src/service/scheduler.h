@@ -31,10 +31,12 @@ struct SchedulerOptions {
 
 /// The service core: accepts ProfileJobs, runs them on a ThreadPool in
 /// priority order (ties FIFO), tracks per-job state, enforces per-job time
-/// limits via util/deadline.h, supports cooperative cancellation, and
+/// limits and cooperative cancellation through each job's CancelToken, and
 /// reports into a MetricsRegistry:
 ///
-///   counters   jobs.submitted / completed / failed / cancelled / rejected
+///   counters   jobs.submitted / completed / failed / cancelled /
+///              deadline_expired / rejected (completed counts only jobs
+///              that returned a full report)
 ///   gauges     jobs.queued, jobs.running
 ///   histograms jobs.queue_seconds, jobs.run_seconds, and
 ///              stage.{encode,discover,canonical,rank}_seconds

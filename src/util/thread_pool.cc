@@ -7,6 +7,7 @@
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
 #include "obs/trace.h"
+#include "util/cancellation.h"
 
 namespace dhyfd {
 
@@ -179,16 +180,20 @@ void ThreadPool::run_shards(int parallelism, std::size_t shards,
                                idle_threads() + 1}) -
                      1;
   }
+  // Helpers poll the caller's stop signal. The raw pointer is safe here,
+  // and only here: run_shards returns only after every helper finished.
+  const CancelToken* token = CancelScope::Current();
   for (std::size_t h = 0; h < helpers_wanted; ++h) {
     {
       MutexLock lock(&state.mu);
       ++state.helpers_active;
     }
-    bool queued = try_submit([&state, &drain] {
+    bool queued = try_submit([&state, &drain, token] {
       DeltaBuffer buffer;
       std::int64_t cpu_start = CurrentThreadCpuNs();
       {
         ObsScope scope(&buffer);
+        CancelScope cancel_scope(token);
         drain();
       }
       buffer.add(kObsPoolShardCpuNs, CurrentThreadCpuNs() - cpu_start);

@@ -65,6 +65,11 @@ class ThreadPool {
   /// sequential run would have produced, plus one "pool.shard_cpu_ns" counter
   /// charging helper-thread CPU to the caller's ledger.
   ///
+  /// Helper shards run under the caller's CancelScope token, so a shard's
+  /// CancelScope::CurrentCancelled() polls see the caller's cancel or
+  /// expiry. submit() and try_submit() bind no token: their tasks may
+  /// outlive the submitter's scope.
+  ///
   /// If a shard throws, remaining unclaimed shards are skipped and the first
   /// exception is rethrown on the caller after all claimed shards finish.
   void run_shards(int parallelism, std::size_t shards,

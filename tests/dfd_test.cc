@@ -4,6 +4,7 @@
 
 #include "fd/cover.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 
 namespace dhyfd {
 namespace {
@@ -68,7 +69,9 @@ TEST(DfdTest, CountsMemoizedPartitionBuilds) {
 
 TEST(DfdTest, TimeLimit) {
   Relation r = RandomRelation(5, 2500, 10, 3);
-  DiscoveryResult res = Dfd(1e-6).discover(r);
+  CancelToken tl(1e-6);
+  CancelScope scope(&tl);
+  DiscoveryResult res = Dfd().discover(r);
   EXPECT_TRUE(res.stats.timed_out);
 }
 

@@ -10,6 +10,7 @@
 #include "ranking/redundancy.h"
 #include "relation/encoder.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 
 namespace dhyfd {
 namespace {
@@ -124,7 +125,9 @@ TEST(IntegrationTest, RedundancyPercentagesAreSane) {
 
 TEST(IntegrationTest, TimeLimitedRunsReportPartialOutput) {
   Relation r = SmallAnalog("horse", 368);
-  DiscoveryResult res = MakeDiscovery("dhyfd", 0.05)->discover(r);
+  CancelToken tl(0.05);
+  CancelScope scope(&tl);
+  DiscoveryResult res = MakeDiscovery("dhyfd")->discover(r);
   // horse takes seconds; 50 ms must time out, and whatever FDs were
   // validated are returned rather than discarded.
   EXPECT_TRUE(res.stats.timed_out);

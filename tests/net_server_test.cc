@@ -369,12 +369,29 @@ TEST(NetServerTest, DeadlineMapsToJobTimeLimit) {
   SubmitDiscoveryMsg submit;
   submit.dataset = "big";
   submit.deadline_ms = 1;
+  submit.top_k = 5;
   DiscoveryResultMsg result = client.submit_discovery(submit);
   EXPECT_EQ(result.state, "deadline_expired") << "1 ms deadline should expire";
+  // A stopped stage returns nothing: no canonical cover, no ranked FDs.
+  EXPECT_EQ(result.canonical_size, 0u);
+  EXPECT_TRUE(result.top.empty());
+
+  // A top-k query job past its deadline answers no partial FD list either.
+  SubmitQueryMsg query;
+  query.dataset = "big";
+  query.deadline_ms = 1;
+  query.top_k = 1000;
+  QueryResultMsg answer = client.submit_query(query);
+  EXPECT_EQ(answer.state, "deadline_expired");
+  EXPECT_EQ(answer.total, 0u);
+  EXPECT_TRUE(answer.fds.empty());
 
   submit.deadline_ms = 0;  // control: no deadline completes normally
   result = client.submit_discovery(submit);
   EXPECT_EQ(result.state, "done");
+  EXPECT_GT(result.canonical_size, 0u);
+  EXPECT_EQ(result.top.size(), 5u);
+  EXPECT_EQ(stack.metrics.counter("jobs.deadline_expired").value(), 2);
 }
 
 TEST(NetServerTest, QuotaExceededAfterBurst) {

@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
@@ -22,10 +26,13 @@
 #include "core/profiler.h"
 #include "datagen/benchmark_data.h"
 #include "fd/cover.h"
+#include "obs/obs.h"
+#include "obs/obs_schema.gen.h"
 #include "query/engine.h"
 #include "ranking/redundancy.h"
 #include "relation/encoder.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 #include "util/thread_pool.h"
 
 namespace dhyfd {
@@ -193,6 +200,82 @@ TEST(ParallelQueryTest, TopKPathIgnoresParallelismButStillMatches) {
     EXPECT_TRUE(sequential.fds[i].fd == parallel.fds[i].fd) << i;
   }
   EXPECT_EQ(pool.tasks_executed(), 0);
+}
+
+// ------------------------------------------- stop signal across the shards
+
+/// Calls `fire` once, at the calling thread's `after`-th validator call:
+/// discovery is then in the middle of a validation level.
+class MidValidationTrigger : public ObsSink {
+ public:
+  MidValidationTrigger(int after, std::function<void()> fire)
+      : after_(after), fire_(std::move(fire)) {}
+  void add(const char* name, std::int64_t) override {
+    if (std::string_view(name) == kObsDiscoverValidatorCalls && ++calls_ == after_) {
+      fire_();
+    }
+  }
+
+ private:
+  const int after_;
+  int calls_ = 0;
+  std::function<void()> fire_;
+};
+
+/// Runs `algo` at degree 4 unbounded, then twice more stopped in the middle
+/// of a validation level: by a token whose expiry passes, and by a cancel
+/// from another thread. Every validation shard polls the one token the
+/// caller bound; this binary runs under TSan, so a shared poll that writes
+/// anything unsynchronized fails here.
+void ExpectDegreeFourRunStops(const std::string& algo) {
+  // Diabetic: 27 validation levels, so validation dominates the run.
+  Relation r = EncodeRelation(GenerateBenchmark("diabetic", 700),
+                              NullSemantics::kNullEqualsNull).relation;
+  ThreadPool pool(4);
+  auto run = [&] { return MakeDiscovery(algo, 4, &pool)->discover(r); };
+  DiscoveryResult full = run();
+  ASSERT_FALSE(full.stats.timed_out) << algo;
+  ASSERT_GT(full.stats.levels, 10) << algo;
+
+  auto expect_partial = [&](const DiscoveryResult& partial, const char* how) {
+    EXPECT_TRUE(partial.stats.timed_out) << algo << " " << how;
+    EXPECT_GT(partial.stats.validations, 0) << algo << " " << how;
+    EXPECT_LT(partial.stats.validations, full.stats.validations) << algo << " " << how;
+  };
+  constexpr int kAfterCalls = 40;
+
+  CancelToken tl;
+  {
+    MidValidationTrigger trigger(kAfterCalls, [&tl] { tl.expire_after(1e-6); });
+    ObsScope obs(&trigger);
+    CancelScope scope(&tl);
+    expect_partial(run(), "expiry");
+  }
+  EXPECT_EQ(tl.reason(), CancelToken::Reason::kExpired) << algo;
+
+  CancelToken token;
+  std::atomic<bool> go{false};
+  std::thread canceller([&token, &go] {
+    while (!go.load()) std::this_thread::yield();
+    token.cancel();
+  });
+  {
+    MidValidationTrigger trigger(kAfterCalls, [&go] { go.store(true); });
+    ObsScope obs(&trigger);
+    CancelScope scope(&token);
+    expect_partial(run(), "cancel");
+  }
+  go.store(true);  // a run that never reached the trigger still ends the thread
+  canceller.join();
+  EXPECT_EQ(token.reason(), CancelToken::Reason::kCancelled) << algo;
+}
+
+TEST(ParallelStopTest, DhyfdShardsStopOnExpiryAndCancel) {
+  ExpectDegreeFourRunStops("dhyfd");
+}
+
+TEST(ParallelStopTest, HyfdShardsStopOnExpiryAndCancel) {
+  ExpectDegreeFourRunStops("hyfd");
 }
 
 // ------------------------------------------------ per-column encoding

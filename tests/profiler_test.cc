@@ -157,26 +157,40 @@ TEST(ProfilerTest, StageCountersShowPrefixReuse) {
 }
 
 TEST(ProfilerTest, CancelledStageLeavesNoPartialResult) {
-  // The hook fires right after the named stage; a token cancelled there is
-  // seen by the profiler's next poll, so the report must come back with no
-  // cover, ranking or dataset counts at all.
-  for (ProfileStage stage : {ProfileStage::kCanonical, ProfileStage::kRank}) {
-    CancelToken token;
-    ProfileOptions opt;
-    opt.stage_hook = [&](ProfileStage done, double) {
-      if (done == stage) token.cancel();
-    };
-    ProfileReport rep;
-    {
-      CancelScope scope(&token);
-      rep = Profiler(opt).profile(GenerateBenchmark("bridges", 108));
+  // The hook fires right after the named stage; a token cancelled there, or
+  // whose expiry passes there, is seen by the profiler's next poll, so the
+  // report must come back with no cover, ranking or dataset counts at all.
+  for (bool expire : {false, true}) {
+    for (ProfileStage stage : {ProfileStage::kDiscover, ProfileStage::kCanonical,
+                               ProfileStage::kRank}) {
+      const std::string label =
+          std::string(ProfileStageName(stage)) + (expire ? " expiry" : " cancel");
+      CancelToken token;
+      ProfileOptions opt;
+      opt.stage_hook = [&](ProfileStage done, double) {
+        if (done != stage) return;
+        if (expire) {
+          token.expire_after(1e-9);
+        } else {
+          token.cancel();
+        }
+      };
+      ProfileReport rep;
+      {
+        CancelScope scope(&token);
+        rep = Profiler(opt).profile(GenerateBenchmark("bridges", 108));
+      }
+      EXPECT_EQ(token.reason(), expire ? CancelToken::Reason::kExpired
+                                       : CancelToken::Reason::kCancelled)
+          << label;
+      EXPECT_TRUE(rep.cancelled) << label;
+      EXPECT_FALSE(rep.discovery.stats.timed_out) << label;
+      EXPECT_GT(rep.discovery.fds.size(), 0) << label;
+      EXPECT_TRUE(rep.canonical.empty()) << label;
+      EXPECT_TRUE(rep.ranking.empty()) << label;
+      EXPECT_EQ(rep.dataset_redundancy.num_values, 0) << label;
+      EXPECT_EQ(rep.dataset_redundancy.red_plus0, 0) << label;
     }
-    EXPECT_TRUE(rep.cancelled) << ProfileStageName(stage);
-    EXPECT_GT(rep.discovery.fds.size(), 0) << ProfileStageName(stage);
-    EXPECT_TRUE(rep.canonical.empty()) << ProfileStageName(stage);
-    EXPECT_TRUE(rep.ranking.empty()) << ProfileStageName(stage);
-    EXPECT_EQ(rep.dataset_redundancy.num_values, 0) << ProfileStageName(stage);
-    EXPECT_EQ(rep.dataset_redundancy.red_plus0, 0) << ProfileStageName(stage);
   }
 }
 

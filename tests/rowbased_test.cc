@@ -4,6 +4,7 @@
 
 #include "fd/cover.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 
 namespace dhyfd {
 namespace {
@@ -60,7 +61,9 @@ TEST_P(RowBasedTest, EmptyAndTinyRelations) {
 
 TEST_P(RowBasedTest, TimeLimitFlags) {
   Relation r = RandomRelation(5, 2500, 10, 3);
-  DiscoveryResult res = RowBasedTransversal(GetParam(), 1e-6).discover(r);
+  CancelToken tl(1e-6);
+  CancelScope scope(&tl);
+  DiscoveryResult res = RowBasedTransversal(GetParam()).discover(r);
   EXPECT_TRUE(res.stats.timed_out);
 }
 

@@ -13,7 +13,6 @@
 #include "query/engine.h"
 #include "query/profile_query.h"
 #include "util/cancellation.h"
-#include "util/deadline.h"
 
 namespace dhyfd {
 namespace {
@@ -305,7 +304,7 @@ TEST(ServiceTest, CancelRunningJobStopsEarly) {
   EXPECT_EQ(metrics.counter("jobs.completed").value(), 0);
 }
 
-TEST(ServiceTest, PerJobTimeLimitProducesPartialResult) {
+TEST(ServiceTest, PerJobTimeLimitExpiresWithNoRanking) {
   MetricsRegistry metrics;
   DatasetRegistry datasets(&metrics);
   datasets.add_table("big", DemoTable("ncvoter", 6000));
@@ -318,8 +317,44 @@ TEST(ServiceTest, PerJobTimeLimitProducesPartialResult) {
   JobHandlePtr handle = scheduler.submit(job);
   handle->wait();
 
-  ASSERT_EQ(handle->state(), JobState::kDone) << handle->error();
-  EXPECT_TRUE(handle->report().discovery.stats.timed_out);
+  ASSERT_EQ(handle->state(), JobState::kDeadlineExpired) << handle->error();
+  const ProfileReport& report = handle->report();
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_TRUE(report.discovery.stats.timed_out);
+  EXPECT_TRUE(report.canonical.empty());
+  EXPECT_TRUE(report.ranking.empty());
+  EXPECT_EQ(metrics.counter("jobs.deadline_expired").value(), 1);
+  EXPECT_EQ(metrics.counter("jobs.completed").value(), 0);
+  EXPECT_EQ(metrics.counter("jobs.cancelled").value(), 0);
+}
+
+TEST(ServiceTest, TimeLimitReachesPastDiscovery) {
+  // The horse analog's left-reduced cover is huge (~187k FDs) and its
+  // canonical cover alone takes seconds, so a 1 s limit must stop whichever
+  // stage it lands in, and the job must answer soon after, with no
+  // canonical cover or ranking at all.
+  MetricsRegistry metrics;
+  DatasetRegistry datasets(&metrics);
+  datasets.add_table("horse", GenerateBenchmark("horse", 368));
+  JobScheduler scheduler(&datasets, &metrics, {.num_threads = 4});
+  for (int degree : {1, 4}) {
+    ProfileJob job;
+    job.dataset = "horse";
+    job.options.parallelism = degree;
+    job.time_limit_seconds = 1.0;
+    JobHandlePtr handle = scheduler.submit(job);
+    handle->wait();
+    ASSERT_EQ(handle->state(), JobState::kDeadlineExpired)
+        << "degree " << degree << " " << handle->error();
+    EXPECT_LT(handle->run_seconds(), 1.5) << "degree " << degree;
+    const ProfileReport& report = handle->report();
+    EXPECT_TRUE(report.cancelled) << "degree " << degree;
+    EXPECT_TRUE(report.canonical.empty()) << "degree " << degree;
+    EXPECT_TRUE(report.ranking.empty()) << "degree " << degree;
+    EXPECT_EQ(report.dataset_redundancy.num_values, 0) << "degree " << degree;
+  }
+  EXPECT_EQ(metrics.counter("jobs.deadline_expired").value(), 2);
+  EXPECT_EQ(metrics.counter("jobs.completed").value(), 0);
 }
 
 TEST(ServiceTest, MaxPendingRejectsInsteadOfBlocking) {
@@ -501,13 +536,21 @@ TEST(ServiceTest, StageTimingsReportedInSummary) {
   EXPECT_NE(report.summary().find("stage timings:"), std::string::npos);
 }
 
-TEST(ServiceTest, CancelScopeMakesDeadlineFire) {
-  CancelToken token;
-  CancelScope scope(&token);
-  Deadline unlimited(0);
-  EXPECT_FALSE(unlimited.expired());
-  token.cancel();
-  EXPECT_TRUE(unlimited.expired());
+TEST(ServiceTest, CancelScopeExpiryStopsEveryStage) {
+  // A library caller bounds a whole profile run with an expiring token
+  // instead of a per-algorithm time limit: discovery and every later stage
+  // observe it.
+  CancelToken tl(1e-6);
+  ProfileReport report;
+  {
+    CancelScope scope(&tl);
+    report = Profiler().profile(DemoTable("abalone", 300));
+  }
+  EXPECT_EQ(tl.reason(), CancelToken::Reason::kExpired);
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_TRUE(report.discovery.stats.timed_out);
+  EXPECT_TRUE(report.canonical.empty());
+  EXPECT_TRUE(report.ranking.empty());
 }
 
 }  // namespace

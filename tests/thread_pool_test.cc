@@ -15,6 +15,7 @@
 #include "obs/cost_ledger.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "util/cancellation.h"
 
 namespace dhyfd {
 namespace {
@@ -280,6 +281,43 @@ TEST(ThreadPoolShardTest, TraceContextReachesEveryShard) {
   for (std::size_t s = 0; s < seen.size(); ++s) {
     EXPECT_EQ(seen[s], kTraceId) << "shard " << s;
   }
+}
+
+TEST(ThreadPoolShardTest, HelperShardsPollTheCallersCancelToken) {
+  // run_shards binds the caller's token on its helpers, so a shard's
+  // CancelScope::CurrentCancelled() sees the caller's cancel or expiry
+  // wherever it runs. submit() binds none: its task may outlive the scope.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  CancelToken token;
+  token.cancel();
+  std::vector<const CancelToken*> seen(16, nullptr);
+  // One byte per shard (not vector<bool>, whose bits share words).
+  std::vector<char> stopped(16, 0);
+  std::vector<char> on_helper(16, 0);
+  std::atomic<const CancelToken*> submitted_saw{&token};
+  {
+    CancelScope scope(&token);
+    pool.run_shards(4, 16, [&](std::size_t s) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      seen[s] = CancelScope::Current();
+      on_helper[s] = std::this_thread::get_id() != caller;
+      stopped[s] = CancelScope::CurrentCancelled();
+    });
+    ASSERT_TRUE(pool.submit([&submitted_saw] {
+      submitted_saw.store(CancelScope::Current());
+    }));
+    pool.shutdown();
+  }
+  int helper_shards = 0;
+  for (std::size_t s = 0; s < seen.size(); ++s) {
+    EXPECT_EQ(seen[s], &token) << "shard " << s;
+    EXPECT_TRUE(stopped[s]) << "shard " << s;
+    helper_shards += on_helper[s];
+  }
+  EXPECT_GT(helper_shards, 0);
+  EXPECT_EQ(submitted_saw.load(), nullptr);
+  EXPECT_EQ(CancelScope::Current(), nullptr);
 }
 
 /// Records every ObsAdd by name; installed on the caller thread only, so
