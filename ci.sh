@@ -25,7 +25,8 @@
 #                          the prefix-shared rank pass (also rooted at a
 #                          tombstoned live relation's live rows, as the
 #                          live profile's per-batch ranking runs it), the
-#                          sampler's row-major code copy, the encoder, the
+#                          sampler's row-major code copy, the encoder and
+#                          the live relation's append and compact, the
 #                          input-width negatives, the hostile-CSV corpus,
 #                          the live-update property streams, the net
 #                          server round-trips + trace propagation, and the
@@ -144,7 +145,7 @@ cmake -B build-asan -S . -DDHYFD_SANITIZE=address -DDHYFD_WERROR=ON
 cmake --build build-asan -j "$JOBS" --target \
   partition_test partition_cache_test partition_intersect_test \
   extended_fd_tree_test fdtree_induction_chain_test ddm_test \
-  closure_test cover_test sampler_test encoder_test \
+  closure_test cover_test sampler_test encoder_test live_relation_test \
   net_wire_test query_test redundancy_test robustness_test live_profile_test \
   incr_property_test hostile_input_test net_server_test trace_propagation_test \
   service_test live_store_test
@@ -171,6 +172,8 @@ cmake --build build-asan -j "$JOBS" --target \
 # neighborhood orders; the encoder fills one code column per shard.
 ./build-asan/tests/sampler_test
 ./build-asan/tests/encoder_test
+# Compact and append index dictionaries and code maps by code.
+./build-asan/tests/live_relation_test
 # net_wire_test feeds the frame decoder truncated frames, hostile length
 # prefixes, and random byte soup — exactly the inputs where a missing bounds
 # check would read past a buffer, which is ASan's home turf. The query

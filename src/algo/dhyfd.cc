@@ -24,6 +24,12 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   DiscoveryResult result;
   const int m = r.num_cols();
   const AttributeSet all = AttributeSet::full(m);
+  // Set-up (the DDM's partitions, the sampler, the root validation) costs
+  // a pass over the relation per step, so a fired token skips what is left.
+  if (CancelScope::CurrentCancelled()) {
+    result.stats.timed_out = true;
+    return result;
+  }
 
   // Intra-job parallelism: shards fan out over the (shared) worker pool,
   // help-first, with the calling thread always participating. Each shard
@@ -57,14 +63,14 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   // neighborhood build; the sampler's row copy and neighborhoods are freed
   // before validation starts.
   std::vector<AttributeSet> violations;
-  if (!approx) {
+  if (!approx && !CancelScope::CurrentCancelled()) {
     TraceSpan span(kObsDiscoverSampling);
     NeighborhoodSampler sampler(r, pool, par);
     violations = sampler.initial(options_.initial_sampling_windows);
     result.stats.pairs_compared += sampler.pairs_compared();
   }
   result.stats.sampled_non_fds = static_cast<int64_t>(violations.size());
-  {
+  if (!CancelScope::CurrentCancelled()) {
     StrippedPartition whole = StrippedPartition::whole(r.num_rows());
     result.stats.validations += tree.root_rhs().count();
     AttributeSet root_rhs = tree.root_rhs();

@@ -24,6 +24,13 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
   DiscoveryResult result;
   const int m = r.num_cols();
   const AttributeSet all = AttributeSet::full(m);
+  // Set-up (the PLIs, the sampler, the root validation) costs a pass over
+  // the relation per step, so a fired token skips what is left.
+  auto stopped = [&] {
+    result.stats.timed_out = CancelScope::CurrentCancelled();
+    return result.stats.timed_out;
+  };
+  if (stopped()) return result;
 
   ThreadPool* pool = options_.worker_pool;
   const int par = pool != nullptr ? std::max(1, options_.parallelism) : 1;
@@ -40,6 +47,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
     attr_partitions.push_back(BuildAttributePartition(r, a));
     supports[a] = attr_partitions.back().support();
   }
+  if (stopped()) return result;
   PartitionRefiner refiner(r);
   NeighborhoodSampler sampler = [&] {
     TraceSpan span(kObsDiscoverSampling);
@@ -63,6 +71,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
   auto sampling_phase = [&]() {
     TraceSpan span(kObsDiscoverSampling);
     for (int i = 0; i < options_.max_windows_per_phase; ++i) {
+      if (CancelScope::CurrentCancelled()) break;
       std::vector<AttributeSet> fresh = sampler.run(sampler.window() + 1);
       result.stats.sampled_non_fds += static_cast<int64_t>(fresh.size());
       induct_sorted(std::move(fresh));
@@ -72,7 +81,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
 
   // Initial sampling phase, then validate the root FD {} -> R directly.
   sampling_phase();
-  {
+  if (!CancelScope::CurrentCancelled()) {
     StrippedPartition whole = StrippedPartition::whole(r.num_rows());
     result.stats.validations += tree.root_rhs().count();
     ValidationOutcome v = ValidateWithPartition(r, AttributeSet(), tree.root_rhs(),

@@ -7,6 +7,7 @@
 
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
+#include "util/cancellation.h"
 #include "util/thread_pool.h"
 
 namespace dhyfd {
@@ -174,6 +175,7 @@ std::vector<AttributeSet> NeighborhoodSampler::sample(int first_window, int last
   std::vector<std::vector<AttributeSet>> buckets(shards_.size() * windows);
   std::vector<int64_t> pairs(shards_.size() * windows, 0);
   auto collect = [&](size_t s) {
+    if (CancelScope::CurrentCancelled()) return;
     const Shard& shard = shards_[s];
     const StrippedPartition& p = sorted_[shard.attr];
     const ClusterView arena = p.row_arena();

@@ -45,7 +45,9 @@ class NeighborhoodSampler {
                                int parallelism = 1);
 
   /// Compares rows at distance `window` within every sorted cluster and
-  /// returns the agree sets not seen before (across all calls).
+  /// returns the agree sets not seen before (across all calls). Once the
+  /// caller's CancelScope token fires, shards not yet started compare
+  /// nothing, so a stopped run gets a partial sample.
   std::vector<AttributeSet> run(int window);
 
   /// Runs windows 1..max_window in one pass over the clusters: the one-off

@@ -101,7 +101,7 @@ void LiveProfile::minimal_valid_subsets(
   if (!any) out->push_back(z);
 }
 
-CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
+CoverDelta LiveProfile::apply(const UpdateBatch& batch) {
   const int m = rel_.num_cols();
   // Refuse a malformed batch before any state changes.
   for (const auto& cells : batch.inserts) {
@@ -121,9 +121,7 @@ CoverDelta LiveProfile::apply(const UpdateBatch& batch, ApplyMode mode) {
   // than ratio x the last full run — or tombstones dominate storage — raw-
   // apply the batch and re-discover from scratch.
   std::string reason;
-  if (mode == ApplyMode::kFullRerun) {
-    reason = "forced";
-  } else if (options_.auto_rebuild) {
+  if (options_.auto_rebuild) {
     if (incremental_seconds_ > options_.rebuild_cost_ratio * last_full_seconds_) {
       reason = "cost-ratio";
     } else if (rel_.tombstone_fraction() > options_.max_tombstone_fraction) {

@@ -44,7 +44,7 @@ struct BatchStats {
   int64_t fds_removed = 0;
   int64_t fds_reranked = 0;     // FDs ranked this batch (the whole cover)
   bool rebuilt = false;         // batch fell back to a full DHyFD re-run
-  std::string rebuild_reason;   // "", "cost-ratio", "tombstones", "forced"
+  std::string rebuild_reason;   // "", "cost-ratio", "tombstones"
   double seconds = 0;
 };
 
@@ -55,10 +55,6 @@ struct CoverDelta {
   FdSet removed;
   BatchStats stats;
 };
-
-/// How apply() maintains the cover; kFullRerun is the baseline strategy the
-/// bench compares against (apply raw updates, then always re-discover).
-enum class ApplyMode { kIncremental, kFullRerun };
 
 /// Maintains the left-reduced FD cover of a LiveRelation across update
 /// batches without re-running discovery (EAIFD's problem setting on top of
@@ -101,7 +97,7 @@ class LiveProfile {
   /// order. Every batch re-ranks the whole cover in one prefix-shared pass.
   const std::vector<FdRedundancy>& ranking() const { return ranking_; }
 
-  CoverDelta apply(const UpdateBatch& batch, ApplyMode mode = ApplyMode::kIncremental);
+  CoverDelta apply(const UpdateBatch& batch);
 
   /// Compacts and re-runs discovery now, regardless of the heuristics.
   void force_rebuild();

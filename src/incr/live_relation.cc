@@ -1,6 +1,7 @@
 #include "incr/live_relation.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace dhyfd {
 
@@ -10,25 +11,30 @@ const std::vector<RowId> kEmptyGroup;
 
 LiveRelation::LiveRelation(const RawTable& initial, NullSemantics semantics,
                            CsvOptions options)
-    : encoder_(initial, semantics, options),
-      groups_(initial.num_cols()),
-      supports_(initial.num_cols(), 0),
-      distinct_(initial.num_cols(), 0) {
+    : encoder_(EncodeRelation(initial, semantics, options)),
+      ids_(static_cast<size_t>(encoder_.relation.num_rows())) {
+  std::iota(ids_.begin(), ids_.end(), LiveRowId{0});
+  next_id_ = static_cast<LiveRowId>(ids_.size());
+  reindex();
+}
+
+void LiveRelation::reindex() {
   const Relation& r = relation();
-  live_.assign(r.num_rows(), 1);
-  ids_.resize(r.num_rows());
-  row_of_.reserve(r.num_rows());
+  live_.assign(ids_.size(), 1);
   live_rows_ = r.num_rows();
-  for (RowId row = 0; row < r.num_rows(); ++row) {
-    ids_[row] = next_id_;
-    row_of_.emplace(next_id_, row);
-    ++next_id_;
-  }
+  row_of_.clear();
+  row_of_.reserve(ids_.size());
+  for (RowId row = 0; row < r.num_rows(); ++row) row_of_.emplace(ids_[row], row);
+  groups_.assign(r.num_cols(), {});
+  supports_.assign(r.num_cols(), 0);
+  distinct_.assign(r.num_cols(), 0);
   for (int c = 0; c < r.num_cols(); ++c) {
     groups_[c].resize(static_cast<size_t>(r.domain_size(c)));
   }
-  // Initial rows are ascending, so per-group push_back keeps groups sorted.
+  // Rows are ascending, so per-group push_back keeps groups sorted.
   for (RowId row = 0; row < r.num_rows(); ++row) register_row(row);
+  refiner_.reset();
+  refiner_domain_ = 0;
 }
 
 RowId LiveRelation::row_of(LiveRowId id) const {
@@ -127,57 +133,27 @@ StrippedPartition LiveRelation::whole_live_cluster() const {
   return pi;
 }
 
+std::vector<RowId> LiveRelation::live_row_list() const {
+  std::vector<RowId> rows;
+  rows.reserve(live_rows_);
+  for (RowId row = 0; row < storage_rows(); ++row) {
+    if (is_live(row)) rows.push_back(row);
+  }
+  return rows;
+}
+
 Relation LiveRelation::snapshot() const {
-  const Relation& r = relation();
-  std::vector<RowId> keep;
-  keep.reserve(live_rows_);
-  for (RowId row = 0; row < r.num_rows(); ++row) {
-    if (is_live(row)) keep.push_back(row);
-  }
-  Relation out(r.schema(), static_cast<RowId>(keep.size()));
-  for (int c = 0; c < r.num_cols(); ++c) {
-    std::unordered_map<ValueId, ValueId> remap;
-    remap.reserve(keep.size());
-    for (size_t i = 0; i < keep.size(); ++i) {
-      auto [it, inserted] =
-          remap.emplace(r.value(keep[i], c), static_cast<ValueId>(remap.size()));
-      (void)inserted;
-      out.set_value(static_cast<RowId>(i), c, it->second);
-      if (r.is_null(keep[i], c)) out.set_null(static_cast<RowId>(i), c);
-    }
-    out.set_domain_size(c, static_cast<ValueId>(remap.size()));
-  }
-  return out;
+  return RedensifyRows(relation(), live_row_list());
 }
 
 void LiveRelation::compact() {
-  std::vector<RowId> keep;
-  keep.reserve(live_rows_);
-  std::vector<LiveRowId> new_ids;
-  new_ids.reserve(live_rows_);
-  for (RowId row = 0; row < storage_rows(); ++row) {
-    if (!is_live(row)) continue;
-    keep.push_back(row);
-    new_ids.push_back(ids_[row]);
-  }
+  const std::vector<RowId> keep = live_row_list();
+  std::vector<LiveRowId> ids;
+  ids.reserve(keep.size());
+  for (RowId row : keep) ids.push_back(ids_[row]);
   encoder_.compact(keep);
-  ids_ = std::move(new_ids);
-  live_.assign(ids_.size(), 1);
-  row_of_.clear();
-  row_of_.reserve(ids_.size());
-  for (RowId row = 0; row < static_cast<RowId>(ids_.size()); ++row) {
-    row_of_.emplace(ids_[row], row);
-  }
-  const Relation& r = relation();
-  groups_.assign(r.num_cols(), {});
-  supports_.assign(r.num_cols(), 0);
-  distinct_.assign(r.num_cols(), 0);
-  for (int c = 0; c < r.num_cols(); ++c) {
-    groups_[c].resize(static_cast<size_t>(r.domain_size(c)));
-  }
-  for (RowId row = 0; row < r.num_rows(); ++row) register_row(row);
-  refiner_.reset();
-  refiner_domain_ = 0;
+  ids_ = std::move(ids);
+  reindex();
 }
 
 PartitionRefiner& LiveRelation::refiner() {

@@ -18,13 +18,15 @@ namespace dhyfd {
 
 /// A mutable, DIIS-encoded relation that accepts tuple inserts and deletes.
 ///
-/// Storage model: inserts append to the backing Relation through a
-/// DeltaEncoder (only the new cells are encoded; dictionaries grow
-/// incrementally). Deletes tombstone their row — the slot keeps its stale
-/// values but the row leaves every maintained index, so discovery primitives
-/// that only walk cluster row-lists (the validator, the refiner, agree-set
-/// scans) never observe it. compact() drops tombstones, renumbers internal
-/// rows, and re-densifies codes; external LiveRowIds are stable throughout.
+/// Storage model: the initial table is batch-encoded by EncodeRelation, and
+/// inserts append to that EncodedRelation (only the new cells are encoded;
+/// dictionaries grow at the top). Deletes tombstone their row — the slot
+/// keeps its stale values but the row leaves every maintained index, so
+/// discovery primitives that only walk cluster row-lists (the validator, the
+/// refiner, agree-set scans) never observe it. compact() drops tombstones,
+/// renumbers internal rows, and re-densifies codes through the encoder's
+/// compact(); snapshot() re-densifies a copy of the live rows with the same
+/// routine. External LiveRowIds are stable throughout.
 ///
 /// Maintained per attribute, incrementally on every insert/delete:
 ///  * value groups: for each code, the ascending list of live rows holding
@@ -42,7 +44,7 @@ class LiveRelation {
   /// that restrict themselves to caller-supplied row lists; whole-relation
   /// scans (BuildPartition, satisfies, ...) would see dead rows — use
   /// snapshot() for those.
-  const Relation& relation() const { return encoder_.relation(); }
+  const Relation& relation() const { return encoder_.relation; }
   const Schema& schema() const { return relation().schema(); }
   int num_cols() const { return relation().num_cols(); }
   NullSemantics semantics() const { return encoder_.semantics(); }
@@ -109,8 +111,12 @@ class LiveRelation {
 
  private:
   void register_row(RowId row);
+  /// Marks every stored row live under ids_ and rebuilds all indexes.
+  void reindex();
+  /// Internal ids of the live rows, ascending.
+  std::vector<RowId> live_row_list() const;
 
-  DeltaEncoder encoder_;
+  EncodedRelation encoder_;
   // Per column, per code: ascending live rows with that code. Not partition
   // data (those are CSR StrippedPartitions); this is the mutable insert/
   // delete index, where per-group splice cost dominates and a flat arena

@@ -703,12 +703,14 @@ void ProfilingServer::handle_register(Connection& c, const Frame& frame,
         RegisterOkMsg ok;
         ok.rows = static_cast<std::uint32_t>(table.num_rows());
         ok.cols = static_cast<std::uint32_t>(table.num_cols());
-        datasets_->add_table(msg.name, table);
+        // The live dataset only reads the table, so it goes first and the
+        // registry then takes the table without a copy.
         if (msg.live && !live_->contains(msg.name)) {
           LiveDatasetOptions opts;
           opts.semantics = SemanticsFromWire(msg.semantics);
-          live_->create(msg.name, std::move(table), opts);
+          live_->create(msg.name, table, opts);
         }
+        datasets_->add_table(msg.name, std::move(table));
         *reply = EncodeMsgFrame(MsgType::kRegisterOk, request_id, ok);
         return true;
       });

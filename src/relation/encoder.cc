@@ -8,13 +8,50 @@
 
 namespace dhyfd {
 
+namespace {
+
+// The one per-cell DIIS decision, shared by EncodeRelation and append(): it
+// writes cell (row, col)'s code and null flag into `rel`. A non-null cell
+// gets its value's code from `codes`. A null gets the column's shared
+// `null_code` under kNullEqualsNull (assigned at the first null), or a
+// fresh code under kNullNotEqualsNull so it agrees with no other row. A new
+// code is the next one at the top of `dict`.
+template <typename CodeMap>
+void EncodeCell(const std::string& cell, RowId row, AttrId col, NullSemantics semantics,
+                const CsvOptions& options, CodeMap& codes, ValueId& null_code,
+                std::vector<std::string>& dict, Relation& rel) {
+  const auto next = static_cast<ValueId>(dict.size());
+  if (!IsNullToken(cell, options)) {
+    auto [it, inserted] = codes.try_emplace(cell, next);
+    if (inserted) dict.push_back(cell);
+    rel.set_value(row, col, it->second);
+    return;
+  }
+  rel.set_null(row, col);
+  if (semantics == NullSemantics::kNullNotEqualsNull) {
+    dict.emplace_back();
+    rel.set_value(row, col, next);
+    return;
+  }
+  if (null_code < 0) {
+    null_code = next;
+    dict.push_back(cell);
+  }
+  rel.set_value(row, col, null_code);
+}
+
+}  // namespace
+
 EncodedRelation EncodeRelation(const RawTable& table, NullSemantics semantics,
                                const CsvOptions& options, ThreadPool* pool,
                                int parallelism) {
   const int cols = table.num_cols();
   const RowId rows = table.num_rows();
-  EncodedRelation out{Relation(Schema(table.header), rows), {}};
+  EncodedRelation out;
+  out.relation = Relation(Schema(table.header), rows);
   out.dictionaries.resize(cols);
+  out.semantics_ = semantics;
+  out.options_ = options;
 
   auto encode_column = [&](AttrId c) {
     // Keyed by views of the table's cells, which outlive the map, and
@@ -27,26 +64,8 @@ EncodedRelation EncodeRelation(const RawTable& table, NullSemantics semantics,
     std::vector<std::string> dict;
     ValueId null_code = -1;
     for (RowId r = 0; r < rows; ++r) {
-      const std::string& cell = table.rows[r][c];
-      if (IsNullToken(cell, options)) {
-        out.relation.set_null(r, c);
-        if (semantics == NullSemantics::kNullNotEqualsNull) {
-          // Fresh code per null occurrence: never agrees with any row.
-          ValueId code = static_cast<ValueId>(dict.size());
-          dict.push_back("");
-          out.relation.set_value(r, c, code);
-        } else {
-          if (null_code < 0) {
-            null_code = static_cast<ValueId>(dict.size());
-            dict.push_back(cell);
-          }
-          out.relation.set_value(r, c, null_code);
-        }
-        continue;
-      }
-      auto [it, inserted] = codes.try_emplace(cell, static_cast<ValueId>(dict.size()));
-      if (inserted) dict.push_back(cell);
-      out.relation.set_value(r, c, it->second);
+      EncodeCell(table.rows[r][c], r, c, semantics, options, codes, null_code, dict,
+                 out.relation);
     }
     out.relation.set_domain_size(c, static_cast<ValueId>(dict.size()));
     out.dictionaries[c] = std::move(dict);
@@ -60,89 +79,70 @@ EncodedRelation EncodeRelation(const RawTable& table, NullSemantics semantics,
   return out;
 }
 
-DeltaEncoder::DeltaEncoder(const RawTable& table, NullSemantics semantics,
-                           const CsvOptions& options)
-    : rel_(Schema(table.header), 0),
-      semantics_(semantics),
-      options_(options),
-      dictionaries_(table.num_cols()),
-      code_of_(table.num_cols()),
-      null_code_(table.num_cols(), -1) {
-  for (const auto& row : table.rows) append(row);
-}
-
-ValueId DeltaEncoder::encode_cell(AttrId col, const std::string& cell,
-                                  bool* is_null) {
-  std::vector<std::string>& dict = dictionaries_[col];
-  if (IsNullToken(cell, options_)) {
-    *is_null = true;
-    if (semantics_ == NullSemantics::kNullNotEqualsNull) {
-      // Fresh code per null occurrence: never agrees with any row.
-      ValueId code = static_cast<ValueId>(dict.size());
-      dict.emplace_back();
-      return code;
-    }
-    if (null_code_[col] < 0) {
-      null_code_[col] = static_cast<ValueId>(dict.size());
-      dict.push_back(cell);
-    }
-    return null_code_[col];
-  }
-  *is_null = false;
-  auto [it, inserted] = code_of_[col].try_emplace(cell, static_cast<ValueId>(dict.size()));
-  if (inserted) dict.push_back(cell);
-  return it->second;
-}
-
-RowId DeltaEncoder::append(const std::vector<std::string>& cells) {
-  const int m = rel_.num_cols();
-  std::vector<ValueId> codes(m);
-  std::vector<uint8_t> nulls(m, 0);
-  for (int c = 0; c < m; ++c) {
-    bool is_null = false;
-    codes[c] = encode_cell(c, cells[c], &is_null);
-    nulls[c] = is_null;
-    if (static_cast<ValueId>(dictionaries_[c].size()) > rel_.domain_size(c)) {
-      rel_.set_domain_size(c, static_cast<ValueId>(dictionaries_[c].size()));
+void EncodedRelation::index_codes() {
+  const int m = relation.num_cols();
+  append_codes_.assign(m, {});
+  for (AttrId c = 0; c < m; ++c) {
+    AppendCodes& col = append_codes_[c];
+    col.codes.reserve(dictionaries[c].size());
+    // Hash each code's string once.
+    std::vector<uint8_t> seen(dictionaries[c].size(), 0);
+    for (RowId r = 0; r < relation.num_rows(); ++r) {
+      const ValueId v = relation.value(r, c);
+      if (seen[v]) continue;
+      seen[v] = 1;
+      if (!relation.is_null(r, c)) {
+        col.codes.emplace(dictionaries[c][v], v);
+      } else if (semantics_ == NullSemantics::kNullEqualsNull) {
+        col.null_code = v;
+      }
     }
   }
-  RowId row = rel_.append_row(codes);
-  for (int c = 0; c < m; ++c) {
-    if (nulls[c]) rel_.set_null(row, c);
+}
+
+RowId EncodedRelation::append(const std::vector<std::string>& cells) {
+  const int m = relation.num_cols();
+  if (append_codes_.size() != static_cast<size_t>(m)) index_codes();
+  const RowId row = relation.append_row(std::vector<ValueId>(m, 0));
+  for (AttrId c = 0; c < m; ++c) {
+    EncodeCell(cells[c], row, c, semantics_, options_, append_codes_[c].codes,
+               append_codes_[c].null_code, dictionaries[c], relation);
+    relation.set_domain_size(c, static_cast<ValueId>(dictionaries[c].size()));
   }
   return row;
 }
 
-void DeltaEncoder::compact(const std::vector<RowId>& keep) {
-  const int m = rel_.num_cols();
-  Relation fresh(rel_.schema(), static_cast<RowId>(keep.size()));
-  for (int c = 0; c < m; ++c) {
+void EncodedRelation::compact(const std::vector<RowId>& keep) {
+  relation = RedensifyRows(relation, keep, &dictionaries);
+  // A relation that is appended to gets its maps back as part of the
+  // compaction, not on the next append.
+  if (!append_codes_.empty()) index_codes();
+}
+
+Relation RedensifyRows(const Relation& r, const std::vector<RowId>& keep,
+                       std::vector<std::vector<std::string>>* dictionaries) {
+  Relation out(r.schema(), static_cast<RowId>(keep.size()));
+  std::vector<ValueId> remap;
+  for (AttrId c = 0; c < r.num_cols(); ++c) {
+    remap.assign(static_cast<size_t>(r.domain_size(c)), -1);
     std::vector<std::string> dict;
-    std::unordered_map<std::string, ValueId> codes;
-    std::unordered_map<ValueId, ValueId> remap;
-    ValueId null_code = -1;
-    remap.reserve(keep.size());
+    ValueId next = 0;
     for (size_t i = 0; i < keep.size(); ++i) {
-      RowId old_row = keep[i];
-      ValueId old_code = rel_.value(old_row, c);
-      auto [it, inserted] = remap.emplace(old_code, static_cast<ValueId>(dict.size()));
-      if (inserted) {
-        dict.push_back(dictionaries_[c][old_code]);
-        if (rel_.is_null(old_row, c)) {
-          if (semantics_ == NullSemantics::kNullEqualsNull) null_code = it->second;
-        } else {
-          codes.emplace(dict.back(), it->second);
-        }
+      const RowId row = static_cast<RowId>(i);
+      const ValueId old_code = r.value(keep[i], c);
+      ValueId& code = remap[old_code];
+      if (code < 0) {
+        code = next++;
+        // Each old code is moved from once: later rows hit the remap.
+        if (dictionaries != nullptr) dict.push_back(std::move((*dictionaries)[c][old_code]));
       }
-      fresh.set_value(static_cast<RowId>(i), c, it->second);
-      if (rel_.is_null(old_row, c)) fresh.set_null(static_cast<RowId>(i), c);
+      out.set_value(row, c, code);
+      if (r.is_null(keep[i], c)) out.set_null(row, c);
     }
-    fresh.set_domain_size(c, static_cast<ValueId>(dict.size()));
-    dictionaries_[c] = std::move(dict);
-    code_of_[c] = std::move(codes);
-    null_code_[c] = null_code;
+    out.set_domain_size(c, next);
+    if (dictionaries != nullptr) (*dictionaries)[c] = std::move(dict);
   }
-  rel_ = std::move(fresh);
+  return out;
 }
 
 NullStats ComputeNullStats(const Relation& r) {

@@ -12,10 +12,15 @@ namespace dhyfd {
 
 class ThreadPool;
 
-/// Result of DIIS encoding: the encoded relation plus, per column, the
-/// dictionary mapping ValueId back to the original string (null codes map to
-/// an empty string under kNullNotEqualsNull; under kNullEqualsNull the single
-/// null code maps to the first null token seen).
+/// A DIIS-encoded relation plus, per column, the dictionary mapping each
+/// ValueId back to the original string (null codes map to an empty string
+/// under kNullNotEqualsNull; under kNullEqualsNull the single null code maps
+/// to the first null token seen).
+///
+/// EncodeRelation builds one from a whole table. append() and compact() then
+/// keep it encoded as rows come and go, which is how LiveRelation stores its
+/// rows: existing codes are stable across appends, and an unseen value gets
+/// the next code at the top of its column's domain, keeping codes dense.
 struct EncodedRelation {
   Relation relation;
   std::vector<std::vector<std::string>> dictionaries;
@@ -24,6 +29,41 @@ struct EncodedRelation {
   const std::string& decode(RowId row, AttrId col) const {
     return dictionaries[col][relation.value(row, col)];
   }
+
+  NullSemantics semantics() const { return semantics_; }
+
+  /// Encodes and appends one raw row (cells.size() must match the schema)
+  /// and returns its row id. Only the new cells are encoded. The first
+  /// append builds per-column value-to-code maps from the dictionaries, so
+  /// a relation that is only batch-encoded never holds them.
+  RowId append(const std::vector<std::string>& cells);
+
+  /// Keeps only rows `keep` (ascending, deduplicated) through
+  /// RedensifyRows: row keep[i] becomes row i, and every column's codes and
+  /// dictionary shrink to the values those rows use.
+  void compact(const std::vector<RowId>& keep);
+
+ private:
+  friend EncodedRelation EncodeRelation(const RawTable& table, NullSemantics semantics,
+                                        const CsvOptions& options, ThreadPool* pool,
+                                        int parallelism);
+
+  // One column's value-to-code map for append(), plus its shared null code
+  // under kNullEqualsNull (-1 until a null is seen). Keyed by owned strings:
+  // views into `dictionaries` would dangle once a dictionary grows and moves
+  // its short strings.
+  struct AppendCodes {
+    std::unordered_map<std::string, ValueId> codes;
+    ValueId null_code = -1;
+  };
+
+  // Builds append_codes_ from the stored codes and dictionaries.
+  void index_codes();
+
+  NullSemantics semantics_ = NullSemantics::kNullEqualsNull;
+  CsvOptions options_;
+  // One per column once append() has run; compact() rebuilds them.
+  std::vector<AppendCodes> append_codes_;
 };
 
 /// Encodes a raw string table with the paper's domain independent indexing
@@ -44,54 +84,13 @@ EncodedRelation EncodeRelation(const RawTable& table,
                                const CsvOptions& options = {},
                                ThreadPool* pool = nullptr, int parallelism = 1);
 
-/// Stateful DIIS encoder for live relations: encodes an initial table like
-/// EncodeRelation, then re-encodes only the cells of appended rows. Existing
-/// codes are stable across appends; unseen values extend the per-column
-/// dictionary (the active domain grows at the top, staying dense).
-///
-/// compact() re-densifies codes onto a surviving subset of rows — the hook
-/// LiveRelation uses when churn-triggered rebuilds drop tombstoned rows, so
-/// dictionaries and refinement scratch arrays do not grow without bound.
-class DeltaEncoder {
- public:
-  explicit DeltaEncoder(const RawTable& table,
-                        NullSemantics semantics = NullSemantics::kNullEqualsNull,
-                        const CsvOptions& options = {});
-
-  Relation& relation() { return rel_; }
-  const Relation& relation() const { return rel_; }
-  NullSemantics semantics() const { return semantics_; }
-  const std::vector<std::vector<std::string>>& dictionaries() const {
-    return dictionaries_;
-  }
-
-  /// Encodes and appends one raw row (cells.size() must match the schema).
-  /// Only the new cells are touched; returns the new row id.
-  RowId append(const std::vector<std::string>& cells);
-
-  /// Rebuilds the relation from the given rows (ascending, deduplicated),
-  /// re-densifying every column's codes to the values those rows actually
-  /// use. Row `keep[i]` of the old relation becomes row i of the new one.
-  void compact(const std::vector<RowId>& keep);
-
-  /// Original string for a cell; null cells decode to their dictionary
-  /// entry, like EncodedRelation::decode.
-  const std::string& decode(RowId row, AttrId col) const {
-    return dictionaries_[col][rel_.value(row, col)];
-  }
-
- private:
-  ValueId encode_cell(AttrId col, const std::string& cell, bool* is_null);
-
-  Relation rel_;
-  NullSemantics semantics_;
-  CsvOptions options_;
-  std::vector<std::vector<std::string>> dictionaries_;
-  // Per column: string -> code for non-null values, plus the shared null
-  // code under kNullEqualsNull (-1 until the first null is seen).
-  std::vector<std::unordered_map<std::string, ValueId>> code_of_;
-  std::vector<ValueId> null_code_;
-};
+/// Copies rows `keep` (ascending, deduplicated) of `r`: row keep[i] becomes
+/// row i, null flags come along, and each column's codes are renumbered
+/// densely in the order the kept rows first use them. When `dictionaries`
+/// is given, each column's dictionary is rewritten to the new codes. It
+/// serves EncodedRelation::compact and LiveRelation::snapshot alike.
+Relation RedensifyRows(const Relation& r, const std::vector<RowId>& keep,
+                       std::vector<std::vector<std::string>>* dictionaries = nullptr);
 
 /// Statistics about missing values (the #IR / #IC / #null columns reported
 /// alongside the paper's data sets).

@@ -86,7 +86,7 @@ LiveStore::LiveStore(MetricsRegistry* metrics, int num_threads)
 
 LiveStore::~LiveStore() { shutdown(); }
 
-void LiveStore::create(const std::string& name, RawTable initial,
+void LiveStore::create(const std::string& name, const RawTable& initial,
                        LiveDatasetOptions options) {
   auto entry = std::make_shared<Entry>();
   // Initial discovery runs synchronously, outside any lock; create() is the

@@ -140,7 +140,7 @@ class LiveStore {
 
   /// Registers a dataset and runs initial discovery synchronously. Throws
   /// std::invalid_argument if the name is taken.
-  void create(const std::string& name, RawTable initial,
+  void create(const std::string& name, const RawTable& initial,
               LiveDatasetOptions options = {}) DHYFD_EXCLUDES(mu_);
 
   bool contains(const std::string& name) const DHYFD_EXCLUDES(mu_);

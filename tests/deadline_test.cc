@@ -13,7 +13,10 @@
 #include <vector>
 
 #include "algo/discovery.h"
+#include "datagen/benchmark_data.h"
+#include "relation/encoder.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace dhyfd {
@@ -178,6 +181,25 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AlgorithmDeadlineTest,
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
+
+TEST(DiscoveryStopTest, FiredTokenSkipsSetUpAndSampling) {
+  // DHyFD and HyFD poll before each set-up step and between sampling
+  // windows, so a token that fired before the run compares no pair and
+  // validates no candidate, at degree 1 and on the pool.
+  Relation r = EncodeRelation(GenerateBenchmark("ncvoter", 2000)).relation;
+  ThreadPool pool(3);
+  CancelToken tl;
+  tl.cancel();
+  CancelScope scope(&tl);
+  for (const std::string name : {"dhyfd", "hyfd"}) {
+    for (int degree : {1, 4}) {
+      DiscoveryResult res = MakeDiscovery(name, degree, &pool)->discover(r);
+      EXPECT_TRUE(res.stats.timed_out) << name << " degree " << degree;
+      EXPECT_EQ(res.stats.pairs_compared, 0) << name << " degree " << degree;
+      EXPECT_EQ(res.stats.validations, 0) << name << " degree " << degree;
+    }
+  }
+}
 
 TEST(MakeDiscoveryTest, FormerBudgetArgumentAcceptsOnlyZero) {
   EXPECT_EQ(MakeDiscovery("dhyfd", 0, 1, nullptr)->name(), "dhyfd");

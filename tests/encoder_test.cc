@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace dhyfd {
@@ -107,6 +111,121 @@ TEST(EncoderTest, PooledEncodingMatchesSequential) {
       for (RowId r = 0; r < 4; ++r) {
         EXPECT_EQ(got.relation.is_null(r, c), want.relation.is_null(r, c));
       }
+    }
+  }
+}
+
+constexpr NullSemantics kBothSemantics[] = {NullSemantics::kNullEqualsNull,
+                                            NullSemantics::kNullNotEqualsNull};
+
+// Repeats, every default null token, and a key-like column whose short
+// (SSO) strings make its dictionary reallocate many times while appending.
+RawTable RandomTable(uint64_t seed, int rows) {
+  Random rng(seed);
+  const std::vector<std::string> nulls = {"", "?", "NULL"};
+  auto cell = [&](uint64_t domain) {
+    if (rng.next_below(5) == 0) return nulls[rng.next_below(nulls.size())];
+    return "v" + std::to_string(rng.next_below(domain));
+  };
+  RawTable t;
+  t.header = {"key", "low", "mid"};
+  for (int i = 0; i < rows; ++i) {
+    std::string key = "k" + std::to_string(rng.next_below(static_cast<uint64_t>(rows)));
+    t.rows.push_back({key, cell(3), cell(20)});
+  }
+  return t;
+}
+
+RawTable RowsOf(const RawTable& t, const std::vector<RowId>& rows) {
+  RawTable out;
+  out.header = t.header;
+  for (RowId r : rows) out.rows.push_back(t.rows[r]);
+  return out;
+}
+
+// Same codes, null flags, domain sizes and dictionaries. With
+// `exact_null_tokens` false, a dictionary entry of a null code need only be
+// a null token on both sides (see CompactEqualsBatchEncodingOfKeptRows).
+void ExpectSameEncoding(const EncodedRelation& got, const EncodedRelation& want,
+                        bool exact_null_tokens = true) {
+  const Relation& g = got.relation;
+  const Relation& w = want.relation;
+  ASSERT_EQ(g.num_rows(), w.num_rows());
+  ASSERT_EQ(g.num_cols(), w.num_cols());
+  ASSERT_EQ(got.dictionaries.size(), want.dictionaries.size());
+  for (AttrId c = 0; c < g.num_cols(); ++c) {
+    EXPECT_EQ(g.column(c), w.column(c)) << "column " << c;
+    EXPECT_EQ(g.domain_size(c), w.domain_size(c)) << "column " << c;
+    std::vector<uint8_t> null_code(got.dictionaries[c].size(), 0);
+    for (RowId r = 0; r < g.num_rows(); ++r) {
+      EXPECT_EQ(g.is_null(r, c), w.is_null(r, c)) << "row " << r << " column " << c;
+      if (g.is_null(r, c)) null_code[g.value(r, c)] = 1;
+    }
+    ASSERT_EQ(got.dictionaries[c].size(), want.dictionaries[c].size());
+    for (size_t v = 0; v < got.dictionaries[c].size(); ++v) {
+      if (null_code[v] && !exact_null_tokens) {
+        EXPECT_TRUE(IsNullToken(got.dictionaries[c][v], CsvOptions{}));
+        EXPECT_TRUE(IsNullToken(want.dictionaries[c][v], CsvOptions{}));
+      } else {
+        EXPECT_EQ(got.dictionaries[c][v], want.dictionaries[c][v])
+            << "column " << c << " code " << v;
+      }
+    }
+  }
+}
+
+TEST(EncoderTest, AppendEqualsBatchEncodingOfConcatenation) {
+  const RawTable all = RandomTable(11, 300);
+  ThreadPool pool(3);
+  for (NullSemantics sem : kBothSemantics) {
+    const EncodedRelation want = EncodeRelation(all, sem);
+    for (int degree : {1, 4}) {
+      // Split 0 appends every row to an empty relation.
+      for (RowId split : {0, 1, 150, 299}) {
+        std::vector<RowId> head;
+        for (RowId r = 0; r < split; ++r) head.push_back(r);
+        EncodedRelation got = EncodeRelation(RowsOf(all, head), sem, {}, &pool, degree);
+        for (RowId r = split; r < all.num_rows(); ++r) {
+          EXPECT_EQ(got.append(all.rows[r]), r);
+        }
+        SCOPED_TRACE("degree " + std::to_string(degree) + " split " + std::to_string(split));
+        ExpectSameEncoding(got, want);
+      }
+    }
+  }
+}
+
+TEST(EncoderTest, CompactEqualsBatchEncodingOfKeptRows) {
+  const RawTable all = RandomTable(12, 300);
+  ThreadPool pool(3);
+  for (NullSemantics sem : kBothSemantics) {
+    for (int degree : {1, 4}) {
+      SCOPED_TRACE("degree " + std::to_string(degree));
+      std::vector<RowId> head;
+      for (RowId r = 0; r < 200; ++r) head.push_back(r);
+      EncodedRelation got = EncodeRelation(RowsOf(all, head), sem, {}, &pool, degree);
+      for (RowId r = 200; r < 250; ++r) got.append(all.rows[r]);
+      // Drop every third row, then keep appending: the code maps are rebuilt
+      // from the compacted dictionaries.
+      std::vector<RowId> keep;
+      for (RowId r = 0; r < 250; ++r) {
+        if (r % 3 != 0) keep.push_back(r);
+      }
+      got.compact(keep);
+      // Under kNullEqualsNull a column's one null code keeps the token it
+      // was first seen with, which may have been on a dropped row.
+      ExpectSameEncoding(got, EncodeRelation(RowsOf(all, keep), sem), false);
+      for (RowId r = 250; r < all.num_rows(); ++r) {
+        got.append(all.rows[r]);
+        keep.push_back(r);
+      }
+      ExpectSameEncoding(got, EncodeRelation(RowsOf(all, keep), sem), false);
+      // Compacting onto every row renumbers nothing.
+      std::vector<RowId> every(keep.size());
+      for (size_t i = 0; i < every.size(); ++i) every[i] = static_cast<RowId>(i);
+      EncodedRelation before = got;
+      got.compact(every);
+      ExpectSameEncoding(got, before);
     }
   }
 }

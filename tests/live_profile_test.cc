@@ -137,17 +137,17 @@ TEST(LiveProfileTest, UnknownDeletesAreCountedNotFatal) {
   ExpectFresh(p);
 }
 
-TEST(LiveProfileTest, ForcedModeRebuilds) {
+TEST(LiveProfileTest, RawInsertThenForceRebuild) {
+  // The rerun baseline bench_incremental times: rows go straight into the
+  // live relation, then force_rebuild() re-discovers and re-ranks.
   LiveProfile p(Table({"a", "b"}, {{"x", "1"}, {"y", "2"}}));
-  UpdateBatch batch;
-  batch.inserts.push_back({"x", "2"});
-  CoverDelta d = p.apply(batch, ApplyMode::kFullRerun);
-  EXPECT_TRUE(d.stats.rebuilt);
-  EXPECT_EQ(d.stats.rebuild_reason, "forced");
-  // A rebuild batch ranks the whole new cover, like every other batch.
-  EXPECT_EQ(d.stats.fds_reranked, p.cover().size());
+  p.live_relation().insert_row({"x", "2"});
+  p.force_rebuild();
+  // A rebuild ranks the whole new cover, like every batch.
+  EXPECT_EQ(p.ranking().size(), p.cover().size());
+  EXPECT_FALSE(Contains(p.cover(), Fd(AttributeSet{0}, 1)));
   EXPECT_EQ(p.rebuild_count(), 1);
-  EXPECT_EQ(p.live_relation().tombstone_fraction(), 0.0);  // compacted
+  EXPECT_EQ(p.live_relation().tombstone_fraction(), 0.0);
   ExpectFresh(p);
 }
 

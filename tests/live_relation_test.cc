@@ -19,58 +19,6 @@ RawTable SmallTable() {
   return t;
 }
 
-TEST(DeltaEncoderTest, MatchesBatchEncoderOnStaticData) {
-  RawTable t = SmallTable();
-  EncodedRelation batch = EncodeRelation(t);
-  DeltaEncoder delta(t);
-  const Relation& r = delta.relation();
-  ASSERT_EQ(r.num_rows(), batch.relation.num_rows());
-  ASSERT_EQ(r.num_cols(), batch.relation.num_cols());
-  for (RowId i = 0; i < r.num_rows(); ++i) {
-    for (int c = 0; c < r.num_cols(); ++c) {
-      EXPECT_EQ(r.value(i, c), batch.relation.value(i, c));
-      EXPECT_EQ(r.is_null(i, c), batch.relation.is_null(i, c));
-    }
-  }
-  for (int c = 0; c < r.num_cols(); ++c) {
-    EXPECT_EQ(r.domain_size(c), batch.relation.domain_size(c));
-  }
-}
-
-TEST(DeltaEncoderTest, AppendReusesAndGrowsCodes) {
-  DeltaEncoder delta(SmallTable());
-  RowId r3 = delta.append({"x", "3", "q"});
-  EXPECT_EQ(r3, 3);
-  const Relation& r = delta.relation();
-  // "x" and "q" reuse existing codes; "3" grows column b's domain.
-  EXPECT_EQ(r.value(3, 0), r.value(0, 0));
-  EXPECT_EQ(r.value(3, 2), r.value(1, 2));
-  EXPECT_EQ(r.domain_size(1), 3);
-  EXPECT_EQ(delta.decode(3, 1), "3");
-}
-
-TEST(DeltaEncoderTest, NullSemanticsMatchBatchEncoder) {
-  RawTable t = SmallTable();
-  t.rows[1][1] = "";
-  for (NullSemantics sem :
-       {NullSemantics::kNullEqualsNull, NullSemantics::kNullNotEqualsNull}) {
-    DeltaEncoder delta(t, sem);
-    delta.append({"z", "", "p"});
-
-    RawTable full = t;
-    full.rows.push_back({"z", "", "p"});
-    EncodedRelation batch = EncodeRelation(full, sem);
-    const Relation& r = delta.relation();
-    EXPECT_TRUE(r.is_null(1, 1));
-    EXPECT_TRUE(r.is_null(3, 1));
-    // Two nulls agree exactly under kNullEqualsNull.
-    EXPECT_EQ(r.value(1, 1) == r.value(3, 1),
-              sem == NullSemantics::kNullEqualsNull);
-    EXPECT_EQ(r.value(1, 1) == r.value(3, 1),
-              batch.relation.value(1, 1) == batch.relation.value(3, 1));
-  }
-}
-
 TEST(LiveRelationTest, GroupsSupportsAndDistinctTrackMutations) {
   LiveRelation rel(SmallTable());
   EXPECT_EQ(rel.live_rows(), 3);
@@ -143,6 +91,38 @@ TEST(LiveRelationTest, SnapshotMatchesBatchEncodingOfLiveRows) {
   }
   for (int c = 0; c < got.num_cols(); ++c) {
     EXPECT_EQ(got.domain_size(c), want.domain_size(c));
+  }
+}
+
+TEST(LiveRelationTest, SnapshotEqualsCodesAfterCompact) {
+  // One re-densify routine serves both: the snapshot of the live rows is
+  // the relation compact() leaves, under both null semantics.
+  for (NullSemantics sem :
+       {NullSemantics::kNullEqualsNull, NullSemantics::kNullNotEqualsNull}) {
+    RawTable t = SmallTable();
+    t.rows[1][1] = "";
+    LiveRelation rel(t, sem);
+    rel.insert_row({"z", "", "p"});
+    rel.insert_row({"x", "?", "r"});
+    rel.insert_row({"w", "3", "r"});
+    rel.erase_row(0);
+    rel.erase_row(4);
+    const Relation snap = rel.snapshot();
+    rel.compact();
+    const Relation& r = rel.relation();
+    ASSERT_EQ(snap.num_rows(), r.num_rows());
+    for (int c = 0; c < r.num_cols(); ++c) {
+      EXPECT_EQ(snap.column(c), r.column(c));
+      EXPECT_EQ(snap.domain_size(c), r.domain_size(c));
+      for (RowId i = 0; i < r.num_rows(); ++i) {
+        EXPECT_EQ(snap.is_null(i, c), r.is_null(i, c));
+      }
+    }
+    // The null rows survive compaction as nulls; under kNullEqualsNull
+    // they still share a code.
+    EXPECT_TRUE(r.is_null(0, 1));
+    EXPECT_TRUE(r.is_null(2, 1));
+    EXPECT_EQ(r.value(0, 1) == r.value(2, 1), sem == NullSemantics::kNullEqualsNull);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "algo/discovery.h"
 #include "core/profiler.h"
 #include "fd/cover.h"
+#include "incr/live_relation.h"
 #include "ranking/redundancy.h"
 #include "relation/encoder.h"
 #include "test_util.h"
@@ -116,9 +117,9 @@ TEST(RobustnessTest, TableWidthCheckedAtRelationBoundary) {
   // any attribute set is built from it, not overflow one.
   const int max = AttributeSet::kCapacity;
   EXPECT_EQ(EncodeRelation(WideTable(max)).relation.num_cols(), max);
-  EXPECT_EQ(DeltaEncoder(WideTable(max)).relation().num_cols(), max);
+  EXPECT_EQ(LiveRelation(WideTable(max)).num_cols(), max);
   EXPECT_THROW(EncodeRelation(WideTable(max + 1)), std::invalid_argument);
-  EXPECT_THROW(DeltaEncoder{WideTable(max + 1)}, std::invalid_argument);
+  EXPECT_THROW(LiveRelation{WideTable(max + 1)}, std::invalid_argument);
   EXPECT_THROW(Profiler().profile(WideTable(300)), std::invalid_argument);
 }
 
