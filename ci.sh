@@ -33,8 +33,8 @@
 #                          job/update handle continuations under ASan
 #   6. ubsan             — bit-twiddling kernels, the FD-tree's child-mask
 #                          rank and slot arithmetic, the sampler's counting
-#                          passes and the hostile-CSV corpus under UBSan
-#                          (non-recoverable)
+#                          passes, the encoder's per-code remaps and the
+#                          hostile-CSV corpus under UBSan (non-recoverable)
 #   7. thread-safety     — Clang Thread Safety Analysis as errors over src/,
 #                          plus a seeded mis-annotation that must FAIL to
 #                          compile (skipped with a notice when clang++ is not
@@ -219,7 +219,7 @@ echo "=== ubsan: bit-twiddling kernels under UBSan (no recovery) ==="
 cmake -B build-ubsan -S . -DDHYFD_SANITIZE=undefined -DDHYFD_WERROR=ON
 cmake --build build-ubsan -j "$JOBS" --target \
   attribute_set_test extended_fd_tree_test fdtree_induction_chain_test ddm_test \
-  partition_test partition_intersect_test sampler_test \
+  partition_test partition_intersect_test sampler_test encoder_test \
   closure_test ranking_test query_topk_property_test hostile_input_test
 ./build-ubsan/tests/attribute_set_test
 # The FD-tree's rank (popcount below a bit, shifts by the attribute's word
@@ -233,6 +233,10 @@ cmake --build build-ubsan -j "$JOBS" --target \
 ./build-ubsan/tests/partition_test
 ./build-ubsan/tests/partition_intersect_test
 ./build-ubsan/tests/sampler_test
+# SeparateNulls, RedensifyRows and the append maps' index_codes index
+# per-code vectors by a stored code and count new codes in signed ValueIds,
+# where a bad cast or an overflow would hide.
+./build-ubsan/tests/encoder_test
 ./build-ubsan/tests/closure_test
 ./build-ubsan/tests/ranking_test
 # The top-k oracle sweep exercises the score accumulation and the removal

@@ -4,6 +4,7 @@
 
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
+#include "util/cancellation.h"
 #include "util/mutex.h"
 #include "util/thread_pool.h"
 
@@ -14,6 +15,7 @@ Ddm::Ddm(const Relation& r) : rel_(r), refiner_(r) {
   static_partitions_.reserve(m);
   attribute_supports_.reserve(m);
   for (AttrId a = 0; a < m; ++a) {
+    if (CancelScope::CurrentCancelled()) return;
     static_partitions_.push_back(BuildAttributePartition(r, a));
     attribute_supports_.push_back(static_partitions_.back().support());
   }

@@ -22,6 +22,9 @@ class ThreadPool;
 /// Algorithm 1's id discipline) to be a subset of the node's path.
 class Ddm {
  public:
+  /// Builds every single-attribute partition, polling the caller's
+  /// CancelScope token once per attribute. Once it fires the build stops
+  /// and the DDM is partial: the caller must poll before reading it.
   explicit Ddm(const Relation& r);
 
   const Relation& relation() const { return rel_; }

@@ -43,8 +43,12 @@ DiscoveryResult Dhyfd::discover(const Relation& r) {
   }
 
   // Algorithm 6 line 3: the DDM pre-computes every single-attribute
-  // stripped partition.
+  // stripped partition. A stopped build leaves it partial, unfit to read.
   Ddm ddm(r);
+  if (CancelScope::CurrentCancelled()) {
+    result.stats.timed_out = true;
+    return result;
+  }
 
   // Line 4: the extended FD-tree starts from the single FD {} -> R.
   ExtendedFdTree tree(m);

@@ -44,6 +44,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
   attr_partitions.reserve(m);
   std::vector<int64_t> supports(m);
   for (AttrId a = 0; a < m; ++a) {
+    if (stopped()) return result;
     attr_partitions.push_back(BuildAttributePartition(r, a));
     supports[a] = attr_partitions.back().support();
   }
@@ -53,6 +54,7 @@ DiscoveryResult Hyfd::discover(const Relation& r) {
     TraceSpan span(kObsDiscoverSampling);
     return NeighborhoodSampler(r, pool, par);
   }();
+  if (stopped()) return result;
   size_t static_bytes = 0;
   for (const StrippedPartition& p : attr_partitions) static_bytes += p.memory_bytes();
   size_t logical_peak = 2 * static_bytes;  // PLIs + the sampler's sorted copy

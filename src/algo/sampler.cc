@@ -77,10 +77,11 @@ NeighborhoodSampler::NeighborhoodSampler(const Relation& r, ThreadPool* pool,
     : num_cols_(r.num_cols()),
       pool_(pool),
       parallelism_(parallelism),
-      rows_(static_cast<size_t>(r.num_rows()) * r.num_cols()),
       sorted_(r.num_cols()) {
   const int m = num_cols_;
   const size_t n = static_cast<size_t>(r.num_rows());
+  if (CancelScope::CurrentCancelled()) return;
+  rows_.resize(n * m);
   auto transpose = [&](size_t begin, size_t end) {
     for (size_t tile = begin; tile < end; tile += kTransposeRows) {
       const size_t tile_end = std::min(end, tile + kTransposeRows);
@@ -132,9 +133,15 @@ NeighborhoodSampler::NeighborhoodSampler(const Relation& r, ThreadPool* pool,
       }
     }
   };
-  for (AttrId s = m - 1; s >= 0; --s) pass(s);
+  // A stopped build returns before the shards exist, so a partial sampler
+  // compares nothing.
+  for (AttrId s = m - 1; s >= 0; --s) {
+    if (CancelScope::CurrentCancelled()) return;
+    pass(s);
+  }
   if (m > 0) extract(0);
   for (AttrId s = m - 1; s >= 1; --s) {
+    if (CancelScope::CurrentCancelled()) return;
     pass(s);
     extract(s);
   }

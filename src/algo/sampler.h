@@ -40,7 +40,10 @@ class ThreadPool;
 class NeighborhoodSampler {
  public:
   /// `pool` (not owned, may be null) enables sharded construction and
-  /// sampling with up to `parallelism` threads including the caller.
+  /// sampling with up to `parallelism` threads including the caller. The
+  /// caller's CancelScope token is polled before each of the 2m-1 counting
+  /// passes; once it fires, construction stops with no sampling shards, so
+  /// run() and initial() compare nothing.
   explicit NeighborhoodSampler(const Relation& r, ThreadPool* pool = nullptr,
                                int parallelism = 1);
 

@@ -48,6 +48,13 @@ void AppendCostTrailer(std::vector<std::uint8_t>* out,
   out->insert(out->end(), frame.begin(), frame.end());
 }
 
+/// Why a null-semantics byte is refused, or "" when it names one: 0 is
+/// null = null, 1 is null != null.
+std::string DescribeSemanticsError(std::uint8_t v) {
+  if (v <= 1) return {};
+  return "unknown null semantics " + std::to_string(v) + " (expected 0 or 1)";
+}
+
 NullSemantics SemanticsFromWire(std::uint8_t v) {
   return v == 0 ? NullSemantics::kNullEqualsNull
                 : NullSemantics::kNullNotEqualsNull;
@@ -559,6 +566,11 @@ void ProfilingServer::handle_submit_discovery(Connection& c,
                                               const TraceContext& ctx) {
   WireReader r(frame.payload);
   SubmitDiscoveryMsg msg = SubmitDiscoveryMsg::decode(r);
+  std::string semantics_error = DescribeSemanticsError(msg.semantics);
+  if (!semantics_error.empty()) {
+    send_error(c, frame.request_id, ErrCode::kBadRequest, semantics_error);
+    return;
+  }
   ProfileJob job = JobFromSubmit(msg, ctx);
   job.options.algorithm = msg.algorithm;
   submit_job(c, frame, ctx, std::move(job), msg.top_k, nullptr);
@@ -584,7 +596,8 @@ void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
   // decode fine and are rejected here with a per-request error; only
   // malformed bytes cost the connection. Schema-width checks happen when
   // the job runs against the resolved dataset.
-  std::string spec_error = DescribeQueryError(query, /*num_cols=*/0);
+  std::string spec_error = DescribeSemanticsError(msg.semantics);
+  if (spec_error.empty()) spec_error = DescribeQueryError(query, /*num_cols=*/0);
   if (!spec_error.empty()) {
     send_error(c, frame.request_id, ErrCode::kBadRequest, spec_error);
     return;
@@ -693,6 +706,11 @@ void ProfilingServer::handle_register(Connection& c, const Frame& frame,
                                       const TraceContext& ctx) {
   WireReader r(frame.payload);
   RegisterDatasetMsg msg = RegisterDatasetMsg::decode(r);
+  std::string semantics_error = DescribeSemanticsError(msg.semantics);
+  if (!semantics_error.empty()) {
+    send_error(c, frame.request_id, ErrCode::kBadRequest, semantics_error);
+    return;
+  }
   // CSV parsing and (for live datasets) the synchronous initial discovery
   // are far too slow for the event loop.
   run_on_ops_pool(
@@ -703,14 +721,12 @@ void ProfilingServer::handle_register(Connection& c, const Frame& frame,
         RegisterOkMsg ok;
         ok.rows = static_cast<std::uint32_t>(table.num_rows());
         ok.cols = static_cast<std::uint32_t>(table.num_cols());
-        // The live dataset only reads the table, so it goes first and the
-        // registry then takes the table without a copy.
         if (msg.live && !live_->contains(msg.name)) {
           LiveDatasetOptions opts;
           opts.semantics = SemanticsFromWire(msg.semantics);
           live_->create(msg.name, table, opts);
         }
-        datasets_->add_table(msg.name, std::move(table));
+        datasets_->add_table(msg.name, table);
         *reply = EncodeMsgFrame(MsgType::kRegisterOk, request_id, ok);
         return true;
       });

@@ -145,6 +145,27 @@ Relation RedensifyRows(const Relation& r, const std::vector<RowId>& keep,
   return out;
 }
 
+Relation SeparateNulls(const Relation& r) {
+  Relation out = r;
+  std::vector<ValueId> remap;
+  for (AttrId c = 0; c < r.num_cols(); ++c) {
+    if (!r.column_has_nulls(c)) continue;
+    remap.assign(static_cast<size_t>(r.domain_size(c)), -1);
+    ValueId next = 0;
+    for (RowId row = 0; row < r.num_rows(); ++row) {
+      if (r.is_null(row, c)) {
+        out.set_value(row, c, next++);
+        continue;
+      }
+      ValueId& code = remap[r.value(row, c)];
+      if (code < 0) code = next++;
+      out.set_value(row, c, code);
+    }
+    out.set_domain_size(c, next);
+  }
+  return out;
+}
+
 NullStats ComputeNullStats(const Relation& r) {
   NullStats stats;
   std::vector<uint8_t> row_incomplete(r.num_rows(), 0);

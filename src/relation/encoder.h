@@ -92,6 +92,14 @@ EncodedRelation EncodeRelation(const RawTable& table,
 Relation RedensifyRows(const Relation& r, const std::vector<RowId>& keep,
                        std::vector<std::vector<std::string>>* dictionaries = nullptr);
 
+/// The kNullNotEqualsNull codes of a relation encoded under
+/// kNullEqualsNull: per column, in row order, each null cell takes the next
+/// code and each non-null code is renumbered in first-use order. Null flags
+/// are kept. The result equals EncodeRelation(table, kNullNotEqualsNull)'s
+/// relation, so one stored encoding serves both semantics; a column without
+/// nulls is copied as is.
+Relation SeparateNulls(const Relation& r);
+
 /// Statistics about missing values (the #IR / #IC / #null columns reported
 /// alongside the paper's data sets).
 struct NullStats {

@@ -5,7 +5,7 @@
 ///
 ///   MetricsRegistry metrics;
 ///   DatasetRegistry datasets(&metrics);
-///   datasets.add_table("orders", std::move(raw));
+///   datasets.add_table("orders", ReadCsvFile("orders.csv"));
 ///   JobScheduler scheduler(&datasets, &metrics);
 ///   auto h = scheduler.submit({.dataset = "orders",
 ///                              .options = {.algorithm = "dhyfd"}});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "util/cancellation.h"
 
 namespace dhyfd {
 namespace {
@@ -16,6 +17,15 @@ TEST(DdmTest, PrecomputesAttributePartitions) {
   EXPECT_EQ(ddm.attribute_partition(0).support(), 2);
   EXPECT_EQ(ddm.attribute_support(0), 2);
   EXPECT_EQ(ddm.attribute_partition(1).support(), 2);
+}
+
+TEST(DdmTest, FiredTokenBuildsNoPartitions) {
+  Relation r = RandomRelation(3, 60, 4, 3);
+  CancelToken token;
+  token.cancel();
+  CancelScope scope(&token);
+  Ddm ddm(r);
+  EXPECT_EQ(ddm.memory_bytes(), 0u);
 }
 
 TEST(DdmTest, StaticIdsMapToSingletonAttrs) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "datagen/benchmark_data.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -228,6 +229,36 @@ TEST(EncoderTest, CompactEqualsBatchEncodingOfKeptRows) {
       ExpectSameEncoding(got, before);
     }
   }
+}
+
+TEST(EncoderTest, SeparateNullsEqualsNullNotEqualsNullEncoding) {
+  ThreadPool pool(3);
+  bool any_null = false;
+  for (const std::string& name : BenchmarkNames()) {
+    const RawTable table = GenerateBenchmark(name, 3000);
+    for (int degree : {1, 4}) {
+      SCOPED_TRACE(name + " degree " + std::to_string(degree));
+      const Relation eq = EncodeRelation(table, NullSemantics::kNullEqualsNull, {},
+                                         &pool, degree)
+                              .relation;
+      const Relation want = EncodeRelation(table, NullSemantics::kNullNotEqualsNull,
+                                           {}, &pool, degree)
+                                .relation;
+      const Relation got = SeparateNulls(eq);
+      ASSERT_EQ(got.num_rows(), want.num_rows());
+      ASSERT_EQ(got.num_cols(), want.num_cols());
+      for (AttrId c = 0; c < want.num_cols(); ++c) {
+        EXPECT_EQ(got.column(c), want.column(c)) << "column " << c;
+        EXPECT_EQ(got.domain_size(c), want.domain_size(c)) << "column " << c;
+        ASSERT_EQ(got.column_has_nulls(c), want.column_has_nulls(c)) << "column " << c;
+        any_null = any_null || want.column_has_nulls(c);
+        for (RowId r = 0; r < want.num_rows(); ++r) {
+          ASSERT_EQ(got.is_null(r, c), want.is_null(r, c)) << "row " << r << " column " << c;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(any_null);
 }
 
 }  // namespace

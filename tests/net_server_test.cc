@@ -239,6 +239,46 @@ TEST(NetServerTest, HostileQuerySpecGetsBadRequestNotDisconnect) {
   EXPECT_EQ(client.submit_query(good).state, "done");
 }
 
+TEST(NetServerTest, OutOfRangeNullSemanticsGetsBadRequest) {
+  Stack stack;
+  BlockingClient client = stack.connect();
+  auto expect_bad_request = [](const std::function<void()>& call) {
+    try {
+      call();
+      FAIL() << "expected RpcError";
+    } catch (const RpcError& e) {
+      EXPECT_EQ(e.code(), ErrCode::kBadRequest);
+    }
+  };
+  // Only 0 (null = null) and 1 (null != null) name a semantics. Byte 2 is
+  // refused on each of the three requests that carry one, and nothing is
+  // registered.
+  for (bool live : {true, false}) {
+    expect_bad_request([&] {
+      client.register_dataset("bad", DemoCsv(), live, /*semantics=*/2);
+    });
+  }
+  EXPECT_FALSE(stack.live->contains("bad"));
+  EXPECT_FALSE(stack.datasets.contains("bad"));
+
+  client.register_dataset("aba", DemoCsv(), /*live=*/false);
+  SubmitDiscoveryMsg discovery;
+  discovery.dataset = "aba";
+  discovery.semantics = 2;
+  expect_bad_request([&] { client.submit_discovery(discovery); });
+  SubmitQueryMsg query;
+  query.dataset = "aba";
+  query.semantics = 2;
+  expect_bad_request([&] { client.submit_query(query); });
+
+  // The connection survived, and byte 1 still runs.
+  client.ping();
+  discovery.semantics = 1;
+  EXPECT_EQ(client.submit_discovery(discovery).state, "done");
+  query.semantics = 1;
+  EXPECT_EQ(client.submit_query(query).state, "done");
+}
+
 TEST(NetServerTest, InputWidthErrorsAreBadRequests) {
   Stack stack;
   BlockingClient client = stack.connect();

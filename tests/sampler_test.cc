@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -11,6 +12,7 @@
 #include "algo/agree_sets.h"
 #include "relation/encoder.h"
 #include "test_util.h"
+#include "util/cancellation.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -206,6 +208,27 @@ TEST(SamplerTest, PooledRunsMatchSequential) {
     EXPECT_EQ(pooled.run(w), sequential.run(w)) << "window " << w;
     EXPECT_EQ(pooled.pairs_compared(), sequential.pairs_compared()) << "window " << w;
     EXPECT_EQ(pooled.last_efficiency(), sequential.last_efficiency()) << "window " << w;
+  }
+}
+
+TEST(SamplerTest, FiredTokenBuildsNoShards) {
+  Relation r = RandomRelation(13, 100, 3, 2);
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    CancelToken token;
+    token.cancel();
+    std::optional<NeighborhoodSampler> sampler;
+    {
+      CancelScope scope(&token);
+      sampler.emplace(r, p, 3);
+    }
+    // Outside the scope nothing stops sampling, so only the missing
+    // neighborhoods and shards keep it from comparing pairs.
+    for (AttrId a = 0; a < r.num_cols(); ++a) {
+      EXPECT_EQ(sampler->neighborhood(a).size(), 0);
+    }
+    EXPECT_TRUE(sampler->initial(2).empty());
+    EXPECT_EQ(sampler->pairs_compared(), 0);
   }
 }
 

@@ -30,16 +30,32 @@ std::string CoverString(const FdSet& cover) {
 TEST(DatasetRegistryTest, EncodesOncePerSemantics) {
   MetricsRegistry metrics;
   DatasetRegistry datasets(&metrics);
-  datasets.add_table("t", DemoTable());
+  const RawTable table = DemoTable("hepatitis", 300);
+  datasets.add_table("t", table);
+  EXPECT_EQ(metrics.histogram("dataset.encode_seconds").count(), 1);
 
+  // Every null = null get shares the one stored encoding.
   auto r1 = datasets.get("t", NullSemantics::kNullEqualsNull);
   auto r2 = datasets.get("t", NullSemantics::kNullEqualsNull);
-  EXPECT_EQ(r1.get(), r2.get());  // same cached relation
-  auto r3 = datasets.get("t", NullSemantics::kNullNotEqualsNull);
-  EXPECT_NE(r1.get(), r3.get());  // distinct per semantics
-
-  EXPECT_EQ(metrics.counter("dataset.cache_misses").value(), 2);
-  EXPECT_EQ(metrics.counter("dataset.cache_hits").value(), 1);
+  EXPECT_EQ(r1.get(), r2.get());
+  // The null != null get is derived from it and equals a direct encode.
+  auto neq = datasets.get("t", NullSemantics::kNullNotEqualsNull);
+  const Relation want =
+      EncodeRelation(table, NullSemantics::kNullNotEqualsNull).relation;
+  ASSERT_EQ(neq->num_rows(), want.num_rows());
+  ASSERT_EQ(neq->num_cols(), want.num_cols());
+  bool any_null = false;
+  for (AttrId c = 0; c < want.num_cols(); ++c) {
+    EXPECT_EQ(neq->column(c), want.column(c)) << "column " << c;
+    EXPECT_EQ(neq->domain_size(c), want.domain_size(c)) << "column " << c;
+    EXPECT_EQ(neq->column_has_nulls(c), want.column_has_nulls(c)) << "column " << c;
+    for (RowId r = 0; r < want.num_rows(); ++r) {
+      EXPECT_EQ(neq->is_null(r, c), want.is_null(r, c));
+    }
+    any_null = any_null || want.column_has_nulls(c);
+  }
+  EXPECT_TRUE(any_null);  // the table exercises the null renumbering
+  EXPECT_EQ(metrics.histogram("dataset.encode_seconds").count(), 1);
 }
 
 TEST(DatasetRegistryTest, UnknownNameThrows) {
@@ -60,21 +76,11 @@ TEST(DatasetRegistryTest, TooWideTableIsRefusedAndKeepsTheOldOne) {
             DemoTable().num_cols());
 }
 
-TEST(DatasetRegistryTest, MissingFileFailsThenRetries) {
-  DatasetRegistry datasets;
-  datasets.add_csv_file("f", "/nonexistent/path.csv");
-  EXPECT_THROW(datasets.get("f", NullSemantics::kNullEqualsNull),
-               std::exception);
-  // The failed slot was dropped: a second get re-attempts (and fails again
-  // rather than returning a poisoned cached future).
-  EXPECT_THROW(datasets.get("f", NullSemantics::kNullEqualsNull),
-               std::exception);
-}
-
 TEST(DatasetRegistryTest, ConcurrentGettersShareOneEncode) {
   MetricsRegistry metrics;
   DatasetRegistry datasets(&metrics);
   datasets.add_table("t", DemoTable("ncvoter", 800));
+  const auto stored = datasets.get("t", NullSemantics::kNullEqualsNull);
 
   std::vector<std::thread> threads;
   std::vector<std::shared_ptr<const Relation>> results(8);
@@ -84,8 +90,8 @@ TEST(DatasetRegistryTest, ConcurrentGettersShareOneEncode) {
     });
   }
   for (std::thread& t : threads) t.join();
-  for (int i = 1; i < 8; ++i) EXPECT_EQ(results[0].get(), results[i].get());
-  EXPECT_EQ(metrics.counter("dataset.cache_misses").value(), 1);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i].get(), stored.get());
+  EXPECT_EQ(metrics.histogram("dataset.encode_seconds").count(), 1);
 }
 
 TEST(MetricsTest, HistogramStatsAndSnapshot) {
