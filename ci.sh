@@ -29,8 +29,9 @@
 #                          the live relation's append and compact, the
 #                          input-width negatives, the hostile-CSV corpus,
 #                          the live-update property streams, the net
-#                          server round-trips + trace propagation, and the
-#                          job/update handle continuations under ASan
+#                          server round-trips + trace propagation, the
+#                          job/update handle continuations and the
+#                          profiler's query stage under ASan
 #   6. ubsan             — bit-twiddling kernels, the FD-tree's child-mask
 #                          rank and slot arithmetic, the sampler's counting
 #                          passes, the encoder's per-code remaps and the
@@ -148,7 +149,7 @@ cmake --build build-asan -j "$JOBS" --target \
   closure_test cover_test sampler_test encoder_test live_relation_test \
   net_wire_test query_test redundancy_test robustness_test live_profile_test \
   incr_property_test hostile_input_test net_server_test trace_propagation_test \
-  service_test live_store_test
+  service_test live_store_test profiler_test
 ./build-asan/tests/partition_test
 ./build-asan/tests/partition_cache_test
 ./build-asan/tests/partition_intersect_test
@@ -210,6 +211,10 @@ cmake --build build-asan -j "$JOBS" --target \
 # Job/update continuations run on worker threads after the handle turns terminal.
 ./build-asan/tests/service_test
 ./build-asan/tests/live_store_test
+# The profiler moves the query engine's QueryResult into the report when a
+# query replaces its discovery stage, including a run stopped before it
+# starts.
+./build-asan/tests/profiler_test
 
 echo
 echo "=== ubsan: bit-twiddling kernels under UBSan (no recovery) ==="

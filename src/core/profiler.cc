@@ -6,6 +6,7 @@
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
 #include "obs/trace.h"
+#include "query/engine.h"
 #include "util/cancellation.h"
 #include "util/timer.h"
 
@@ -44,9 +45,18 @@ ProfileReport Profiler::profile(const Relation& relation) const {
   report.null_stats = ComputeNullStats(relation);
 
   Timer timer;
-  if (options_.discovery_override) {
+  if (options_.query) {
     TraceSpan span(kObsProfileDiscover);
-    report.discovery = options_.discovery_override(relation, options_);
+    report.query = QueryEngine({options_.parallelism, options_.worker_pool})
+                       .execute(relation, *options_.query);
+    // The answer also fills the generic discovery fields, so cover
+    // consumers read a query run like any other.
+    report.discovery.fds = report.query->cover();
+    DiscoveryStats& stats = report.discovery.stats;
+    stats.seconds = report.query->stats.seconds;
+    stats.validations = report.query->stats.validations;
+    stats.levels = report.query->stats.levels;
+    stats.timed_out = report.query->stats.timed_out;
   } else {
     std::unique_ptr<FdDiscovery> algo =
         MakeDiscovery(options_.algorithm, options_.parallelism,
@@ -66,8 +76,9 @@ ProfileReport Profiler::profile(const Relation& relation) const {
     report.cancelled = true;
     return report;
   }
-
-  if (!options_.canonicalize_and_rank) return report;
+  // A query's answer is already ranked; the canonical cover and the full
+  // rank pass add nothing to it.
+  if (options_.query) return report;
   {
     timer.reset();
     TraceSpan span(kObsProfileCanonical);

@@ -8,6 +8,7 @@
 
 #include "algo/discovery.h"
 #include "fd/cover.h"
+#include "query/query.h"
 #include "ranking/ranking.h"
 #include "relation/encoder.h"
 
@@ -21,12 +22,9 @@ const char* ProfileStageName(ProfileStage stage);
 
 /// Options for the one-call profiling pipeline.
 struct ProfileOptions {
-  /// One of AllDiscoveryNames(); DHyFD by default.
+  /// One of AllDiscoveryNames(); DHyFD by default. Ignored with a query.
   std::string algorithm = "dhyfd";
   NullSemantics semantics = NullSemantics::kNullEqualsNull;
-  /// Compute the canonical cover of the discovered one (Section V-D) and
-  /// rank it by data redundancy (Section VI); false stops after discovery.
-  bool canonicalize_and_rank = true;
   RedundancyMode ranking_mode = RedundancyMode::kExcludingNullRhs;
   /// Threads used inside the encode, discovery and rank stages, including
   /// the calling thread (<= 1 = sequential). Effective only with worker_pool
@@ -38,16 +36,11 @@ struct ProfileOptions {
   /// shared with other jobs). The JobScheduler sets this for service jobs;
   /// library callers may pass their own pool.
   ThreadPool* worker_pool = nullptr;
-  /// When set, replaces the discovery stage wholesale: the hook receives
-  /// the relation plus these options (after the service layer's
-  /// parallelism/worker_pool adjustments) and must return the cover and
-  /// stats the rest of the pipeline consumes. This is how upper layers
-  /// inject richer discovery without core depending on them — the query
-  /// layer's BindQueryToProfile (src/query/profile_query.h) installs an
-  /// override that runs the rank-driven engine and parks the full
-  /// QueryResult in a side slot. `algorithm` is ignored while set.
-  std::function<DiscoveryResult(const Relation&, const ProfileOptions&)>
-      discovery_override;
+  /// A rank-driven query (query/engine.h) to answer instead of the full
+  /// pipeline. When set, the discovery stage runs QueryEngine with this
+  /// parallelism and pool, the report's `query` holds its ranked answer and
+  /// `discovery` its cover, and the canonical and rank stages are skipped.
+  std::optional<DiscoveryQuery> query;
   /// Called on the profiling thread as each stage finishes; the service
   /// layer uses this to feed per-stage latency histograms.
   std::function<void(ProfileStage, double seconds)> stage_hook;
@@ -70,8 +63,13 @@ struct StageTimings {
 struct ProfileReport {
   Schema schema;
   NullStats null_stats;
-  /// discovery.fds is the discovered left-reduced cover.
+  /// discovery.fds is the discovered left-reduced cover, or a query's
+  /// answer as a plain cover in rank order.
   DiscoveryResult discovery;
+  /// The ranked answer, set exactly when ProfileOptions::query was. A
+  /// stopped query answers no FDs, never a partial list.
+  std::optional<QueryResult> query;
+  /// Empty for a query run.
   FdSet canonical;
   /// Canonical-cover FDs ranked by descending redundancy.
   std::vector<FdRedundancy> ranking;
@@ -89,8 +87,9 @@ struct ProfileReport {
   std::string summary() const;
 };
 
-/// The library's quickstart entry point: discover -> cover -> rank. A run
-/// is bounded by the caller's CancelScope token (util/cancellation.h).
+/// The library's quickstart entry point: discover -> cover -> rank, or
+/// query -> ranked answer when ProfileOptions::query is set. A run is
+/// bounded by the caller's CancelScope token (util/cancellation.h).
 class Profiler {
  public:
   explicit Profiler(ProfileOptions options = {}) : options_(options) {}

@@ -9,6 +9,7 @@
 #include "obs/obs_schema.gen.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
+#include "query/query.h"
 #include "ranking/ranking.h"
 #include "relation/csv.h"
 
@@ -573,7 +574,7 @@ void ProfilingServer::handle_submit_discovery(Connection& c,
   }
   ProfileJob job = JobFromSubmit(msg, ctx);
   job.options.algorithm = msg.algorithm;
-  submit_job(c, frame, ctx, std::move(job), msg.top_k, nullptr);
+  submit_job(c, frame, ctx, std::move(job), msg.top_k);
 }
 
 void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
@@ -603,19 +604,13 @@ void ProfilingServer::handle_submit_query(Connection& c, const Frame& frame,
     return;
   }
   ProfileJob job = JobFromSubmit(msg, ctx);
-  // Route the discovery stage through the query engine; the ranked answer
-  // lands in the slot once the handle finishes.
-  std::shared_ptr<QueryResultSlot> slot =
-      BindQueryToProfile(job.options, std::move(query));
-  // The full-profile tail stages add nothing to a query answer.
-  job.options.canonicalize_and_rank = false;
-  submit_job(c, frame, ctx, std::move(job), msg.top_k, std::move(slot));
+  job.options.query = std::move(query);
+  submit_job(c, frame, ctx, std::move(job), msg.top_k);
 }
 
 void ProfilingServer::submit_job(Connection& c, const Frame& frame,
                                  const TraceContext& ctx, ProfileJob job,
-                                 std::uint32_t top_k,
-                                 std::shared_ptr<QueryResultSlot> query) {
+                                 std::uint32_t top_k) {
   // A job on a missing dataset could only fail; answer before it takes a
   // window slot or a scheduler slot.
   if (!datasets_->contains(job.dataset)) {
@@ -632,8 +627,8 @@ void ProfilingServer::submit_job(Connection& c, const Frame& frame,
     return;
   }
   handle->on_finish([inbox = inbox_, done = new_completion(c, frame, ctx),
-                     top_k, query = std::move(query)](const JobHandle& h) mutable {
-    finish_job(h, top_k, query.get(), &done);
+                     top_k](const JobHandle& h) mutable {
+    finish_job(h, top_k, &done);
     inbox->post(std::move(done));
   });
 }
@@ -721,12 +716,19 @@ void ProfilingServer::handle_register(Connection& c, const Frame& frame,
         RegisterOkMsg ok;
         ok.rows = static_cast<std::uint32_t>(table.num_rows());
         ok.cols = static_cast<std::uint32_t>(table.num_cols());
+        std::shared_ptr<const Relation> codes;
         if (msg.live && !live_->contains(msg.name)) {
           LiveDatasetOptions opts;
           opts.semantics = SemanticsFromWire(msg.semantics);
-          live_->create(msg.name, table, opts);
+          codes = live_->create(msg.name, table, opts);
+          // Live null != null codes are not the registry's null = null ones.
+          if (opts.semantics != NullSemantics::kNullEqualsNull) codes.reset();
         }
-        datasets_->add_table(msg.name, table);
+        if (codes != nullptr) {
+          datasets_->add_relation(msg.name, std::move(codes));
+        } else {
+          datasets_->add_table(msg.name, table);
+        }
         *reply = EncodeMsgFrame(MsgType::kRegisterOk, request_id, ok);
         return true;
       });
@@ -840,7 +842,6 @@ void ProfilingServer::end_subscription(Connection& c, std::uint64_t sub_id,
 }
 
 void ProfilingServer::finish_job(const JobHandle& h, std::uint32_t top_k,
-                                 const QueryResultSlot* query,
                                  Completion* done) {
   RpcFinish& fin = done->finish;
   // The trailer follows requests the client traced; the handle's trace id
@@ -874,13 +875,13 @@ void ProfilingServer::finish_job(const JobHandle& h, std::uint32_t top_k,
   const char* wire_state = JobStateName(h.state());
   if (h.state() != JobState::kDone) fin.outcome = wire_state;
 
-  if (query != nullptr) {
+  if (h.job().options.query) {
     QueryResultMsg msg;
     msg.state = wire_state;
     msg.queue_seconds = fin.queue_seconds;
     msg.run_seconds = fin.run_seconds;
-    if (report != nullptr && query->result.has_value()) {
-      const QueryResult& qr = *query->result;
+    if (report != nullptr && report->query) {
+      const QueryResult& qr = *report->query;
       msg.total = static_cast<std::uint32_t>(qr.fds.size());
       msg.early_terminated = qr.stats.early_terminated;
       msg.timed_out = qr.stats.timed_out;

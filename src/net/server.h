@@ -19,7 +19,6 @@
 #include "net/wire.h"
 #include "obs/cost_ledger.h"
 #include "obs/obs_schema.gen.h"
-#include "query/profile_query.h"
 #include "service/live_store.h"
 #include "service/metrics.h"
 #include "service/scheduler.h"
@@ -100,6 +99,9 @@ struct ServerOptions {
 ///                       an expiry on its CancelToken armed at run start;
 ///                       past it, the answer is "deadline_expired" with no
 ///                       canonical cover or ranking)
+///   kSubmitQuery     -> JobScheduler, the spec set as ProfileOptions::query:
+///                       the query engine runs as the discovery stage and
+///                       the answer is the report's ranked query result
 ///   kRegisterDataset -> DatasetRegistry (+ LiveStore::create when live)
 ///   kQueryCover      -> LiveStore ranking snapshot
 ///   kApplyUpdate     -> LiveStore strand submit
@@ -296,11 +298,11 @@ class ProfilingServer {
   bool admit(Connection& c, const Frame& frame, const TraceContext& ctx);
   /// Submits a discovery or query job: unknown datasets are refused, then
   /// the job takes a window slot and a scheduler slot (kServerBusy when
-  /// the scheduler's queue is full). Its continuation posts the answer;
-  /// `query` is set for kSubmitQuery jobs (see BindQueryToProfile).
+  /// the scheduler's queue is full). Its continuation posts the answer: a
+  /// kQueryResult when the job's options carry a query (kSubmitQuery), else
+  /// a kDiscoveryResult.
   void submit_job(Connection& c, const Frame& frame, const TraceContext& ctx,
-                  ProfileJob job, std::uint32_t top_k,
-                  std::shared_ptr<QueryResultSlot> query);
+                  ProfileJob job, std::uint32_t top_k);
   /// Takes a window slot and runs `body` on the ops pool: queue-wait span,
   /// cost ledger, cost trailer on success, completion and wake. A throwing
   /// body answers kError(on_throw).
@@ -313,7 +315,7 @@ class ProfilingServer {
   /// Reply builders, run on the thread that finished the handle: fill
   /// done->frame (plus a cost trailer for a traced result) and done->finish.
   static void finish_job(const JobHandle& h, std::uint32_t top_k,
-                         const QueryResultSlot* query, Completion* done);
+                         Completion* done);
   static void finish_update(const UpdateJobHandle& h, Completion* done);
 
   void handle_submit_discovery(Connection& c, const Frame& frame,

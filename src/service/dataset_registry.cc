@@ -15,8 +15,13 @@ void DatasetRegistry::add_table(const std::string& name, const RawTable& table) 
   if (metrics_ != nullptr) {
     metrics_->histogram(kObsDatasetEncodeSeconds).record(timer.seconds());
   }
+  add_relation(name, std::move(relation));
+}
+
+void DatasetRegistry::add_relation(const std::string& name,
+                                   std::shared_ptr<const Relation> codes) {
   MutexLock lock(&mu_);
-  relations_[name] = std::move(relation);
+  relations_[name] = std::move(codes);
 }
 
 std::shared_ptr<const Relation> DatasetRegistry::get(const std::string& name,
@@ -45,16 +50,6 @@ std::vector<std::string> DatasetRegistry::names() const {
   out.reserve(relations_.size());
   for (const auto& [name, relation] : relations_) out.push_back(name);
   return out;
-}
-
-void DatasetRegistry::erase(const std::string& name) {
-  MutexLock lock(&mu_);
-  relations_.erase(name);
-}
-
-void DatasetRegistry::clear() {
-  MutexLock lock(&mu_);
-  relations_.clear();
 }
 
 }  // namespace dhyfd

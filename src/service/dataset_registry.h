@@ -35,19 +35,23 @@ class DatasetRegistry {
   void add_table(const std::string& name, const RawTable& table)
       DHYFD_EXCLUDES(mu_);
 
+  /// Registers already-encoded kNullEqualsNull codes under `name` (say, a
+  /// live dataset's initial codes), replacing any previous registration,
+  /// without encoding anything.
+  void add_relation(const std::string& name,
+                    std::shared_ptr<const Relation> codes) DHYFD_EXCLUDES(mu_);
+
   /// The encoded relation for `name` under `semantics`. Throws
   /// std::out_of_range for unknown names. Under kNullEqualsNull every call
   /// shares the stored relation; under kNullNotEqualsNull each call derives
-  /// its own. The returned pointer stays valid after erase()/clear().
+  /// its own. The returned pointer stays valid after a later registration
+  /// replaces the name.
   std::shared_ptr<const Relation> get(const std::string& name,
                                       NullSemantics semantics)
       DHYFD_EXCLUDES(mu_);
 
   bool contains(const std::string& name) const DHYFD_EXCLUDES(mu_);
   std::vector<std::string> names() const DHYFD_EXCLUDES(mu_);
-
-  void erase(const std::string& name) DHYFD_EXCLUDES(mu_);
-  void clear() DHYFD_EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_;

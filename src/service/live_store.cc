@@ -86,13 +86,21 @@ LiveStore::LiveStore(MetricsRegistry* metrics, int num_threads)
 
 LiveStore::~LiveStore() { shutdown(); }
 
-void LiveStore::create(const std::string& name, const RawTable& initial,
-                       LiveDatasetOptions options) {
+std::shared_ptr<const Relation> LiveStore::create(
+    const std::string& name, const RawTable& initial,
+    LiveDatasetOptions options) {
   auto entry = std::make_shared<Entry>();
   // Initial discovery runs synchronously, outside any lock; create() is the
   // caller's setup phase, not the hot path.
   entry->profile = std::make_unique<LiveProfile>(initial, options.profile,
                                                  options.semantics);
+  // Copied before the entry is published, so no batch has touched it yet.
+  std::shared_ptr<const Relation> codes;
+  {
+    MutexLock lock(&entry->profile_mu);
+    codes = std::make_shared<const Relation>(
+        entry->profile->live_relation().relation());
+  }
   {
     MutexLock lock(&mu_);
     if (shutdown_) throw std::runtime_error("LiveStore is shut down");
@@ -101,6 +109,7 @@ void LiveStore::create(const std::string& name, const RawTable& initial,
     }
   }
   metrics_->gauge(kObsIncrDatasets).add(1);
+  return codes;
 }
 
 bool LiveStore::contains(const std::string& name) const {

@@ -138,10 +138,13 @@ class LiveStore {
   LiveStore(const LiveStore&) = delete;
   LiveStore& operator=(const LiveStore&) = delete;
 
-  /// Registers a dataset and runs initial discovery synchronously. Throws
-  /// std::invalid_argument if the name is taken.
-  void create(const std::string& name, const RawTable& initial,
-              LiveDatasetOptions options = {}) DHYFD_EXCLUDES(mu_);
+  /// Registers a dataset and runs initial discovery synchronously. Returns a
+  /// copy of the initial codes, taken before any batch, under
+  /// options.semantics. Throws std::invalid_argument if the name is taken.
+  std::shared_ptr<const Relation> create(const std::string& name,
+                                         const RawTable& initial,
+                                         LiveDatasetOptions options = {})
+      DHYFD_EXCLUDES(mu_);
 
   bool contains(const std::string& name) const DHYFD_EXCLUDES(mu_);
   std::vector<std::string> names() const DHYFD_EXCLUDES(mu_);

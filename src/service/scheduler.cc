@@ -40,7 +40,7 @@ JobScheduler::JobScheduler(DatasetRegistry* datasets, MetricsRegistry* metrics,
     : datasets_(datasets),
       metrics_(metrics),
       max_pending_(options.max_pending),
-      pool_(ResolveThreads(options.num_threads), options.max_queue) {}
+      pool_(ResolveThreads(options.num_threads)) {}
 
 JobScheduler::~JobScheduler() { shutdown(); }
 
@@ -81,7 +81,6 @@ JobHandlePtr JobScheduler::submit(ProfileJob job) {
     metrics_->gauge(kObsJobsQueued).set(static_cast<std::int64_t>(pending_.size()));
   }
   // One pool ticket per pending job; each ticket pops the then-best job.
-  // This may block while the pool queue is at its bound.
   if (!pool_.submit([this] { run_one(); })) {
     // Shutdown raced the submit: one ticket was lost, so one pending job
     // would never be served. Reclaim everything still queued.

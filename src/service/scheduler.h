@@ -19,13 +19,10 @@ namespace dhyfd {
 struct SchedulerOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   int num_threads = 0;
-  /// Bound on queued-but-not-running jobs (0 = unbounded). When full,
-  /// submit() blocks until a worker frees a slot.
-  std::size_t max_queue = 0;
   /// Hard admission bound on pending (queued-but-not-running) jobs
-  /// (0 = unbounded). Unlike max_queue, hitting this limit never blocks:
-  /// submit() returns a kFailed handle with rejected() set, so a network
-  /// front end can answer "server busy" instead of stalling its event loop.
+  /// (0 = unbounded). Hitting this limit never blocks: submit() returns a
+  /// kFailed handle with rejected() set, so a network front end can answer
+  /// "server busy" instead of stalling its event loop.
   std::size_t max_pending = 0;
 };
 

@@ -51,8 +51,7 @@ class DeltaBuffer : public ObsSink {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads, std::size_t max_queue)
-    : max_queue_(max_queue) {
+ThreadPool::ThreadPool(int num_threads) {
   exception_handler_ = [this](std::exception_ptr e) {
     default_exception_handler(e);
   };
@@ -65,26 +64,11 @@ ThreadPool::ThreadPool(int num_threads, std::size_t max_queue)
 
 ThreadPool::~ThreadPool() { shutdown(); }
 
-void ThreadPool::enqueue_locked(std::function<void()> task) {
-  queue_.push_back(CaptureTraceContext(std::move(task)));
-  not_empty_.notify_one();
-}
-
 bool ThreadPool::submit(std::function<void()> task) {
   MutexLock lock(&mu_);
-  while (!stopping_ && max_queue_ != 0 && queue_.size() >= max_queue_) {
-    not_full_.wait(lock);
-  }
   if (stopping_) return false;
-  enqueue_locked(std::move(task));
-  return true;
-}
-
-bool ThreadPool::try_submit(std::function<void()> task) {
-  MutexLock lock(&mu_);
-  if (stopping_) return false;
-  if (max_queue_ != 0 && queue_.size() >= max_queue_) return false;
-  enqueue_locked(std::move(task));
+  queue_.push_back(CaptureTraceContext(std::move(task)));
+  not_empty_.notify_one();
   return true;
 }
 
@@ -94,7 +78,6 @@ void ThreadPool::shutdown() {
     MutexLock lock(&mu_);
     stopping_ = true;
     not_empty_.notify_all();
-    not_full_.notify_all();
     if (joined_) return;
     joined_ = true;
     to_join.swap(workers_);
@@ -172,8 +155,8 @@ void ThreadPool::run_shards(int parallelism, std::size_t shards,
   };
 
   // Enlist idle workers, capped so caller + helpers <= parallelism. Helpers
-  // are strictly optional — if the queue is full, the pool is stopping, or
-  // every worker is busy, the caller just runs all shards itself.
+  // are strictly optional — if the pool is stopping or every worker is
+  // busy, the caller just runs all shards itself.
   std::size_t helpers_wanted = 0;
   if (parallelism > 1 && shards > 1) {
     helpers_wanted = std::min({shards, static_cast<std::size_t>(parallelism),
@@ -188,7 +171,7 @@ void ThreadPool::run_shards(int parallelism, std::size_t shards,
       MutexLock lock(&state.mu);
       ++state.helpers_active;
     }
-    bool queued = try_submit([&state, &drain, token] {
+    bool queued = submit([&state, &drain, token] {
       DeltaBuffer buffer;
       std::int64_t cpu_start = CurrentThreadCpuNs();
       {
@@ -271,7 +254,6 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
       handler = exception_handler_;
       ++busy_workers_;
-      not_full_.notify_one();
     }
     try {
       task();

@@ -16,9 +16,9 @@
 
 namespace dhyfd {
 
-/// A fixed-size worker pool with a bounded FIFO task queue and graceful
-/// shutdown. Deliberately simple — no work stealing, one mutex, two
-/// condition variables — because profiling jobs are coarse (seconds, not
+/// A fixed-size worker pool with an unbounded FIFO task queue and graceful
+/// shutdown. Deliberately simple — no work stealing, one mutex, one
+/// condition variable — because profiling jobs are coarse (seconds, not
 /// microseconds) and lock discipline matters more than enqueue latency.
 ///
 /// Exceptions escaping a task never kill a worker: they are caught, counted,
@@ -26,10 +26,8 @@ namespace dhyfd {
 /// message, see exceptions_caught() / first_exception_message()).
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (clamped to >= 1). `max_queue` bounds the
-  /// number of queued-but-not-running tasks; 0 means unbounded. When the
-  /// queue is full, submit() blocks and try_submit() refuses.
-  explicit ThreadPool(int num_threads, std::size_t max_queue = 0);
+  /// Starts `num_threads` workers (clamped to >= 1).
+  explicit ThreadPool(int num_threads);
 
   /// Equivalent to shutdown(): drains the queue, then joins all workers.
   ~ThreadPool();
@@ -37,12 +35,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task, blocking while the queue is full. Returns false (and
-  /// drops the task) if the pool is shutting down.
+  /// Enqueues a task without blocking. Returns false (and drops the task)
+  /// if the pool is shutting down.
   bool submit(std::function<void()> task) DHYFD_EXCLUDES(mu_);
-
-  /// Non-blocking enqueue; false if the queue is full or shutting down.
-  bool try_submit(std::function<void()> task) DHYFD_EXCLUDES(mu_);
 
   /// Runs `shards` invocations of `body(shard)` for shard in [0, shards),
   /// each exactly once, using up to `parallelism` threads including the
@@ -50,7 +45,7 @@ class ThreadPool {
   ///
   /// Execution is help-first: the caller claims shards from a shared counter
   /// itself and enlists at most min(shards, parallelism) - 1 idle workers as
-  /// helpers via try_submit. Because the caller alone can finish all shards,
+  /// helpers via submit. Because the caller alone can finish all shards,
   /// nesting run_shards inside a pool task cannot deadlock, and because
   /// helpers are capped by idle_threads() a parallel job never oversubscribes
   /// the pool. With parallelism <= 1 (or no idle workers) this degenerates to
@@ -67,8 +62,8 @@ class ThreadPool {
   ///
   /// Helper shards run under the caller's CancelScope token, so a shard's
   /// CancelScope::CurrentCancelled() polls see the caller's cancel or
-  /// expiry. submit() and try_submit() bind no token: their tasks may
-  /// outlive the submitter's scope.
+  /// expiry. submit() binds no token: its tasks may outlive the
+  /// submitter's scope.
   ///
   /// If a shard throws, remaining unclaimed shards are skipped and the first
   /// exception is rethrown on the caller after all claimed shards finish.
@@ -116,15 +111,10 @@ class ThreadPool {
  private:
   void worker_loop() DHYFD_EXCLUDES(mu_);
   void default_exception_handler(std::exception_ptr e) DHYFD_EXCLUDES(mu_);
-  /// Shared tail of submit()/try_submit(): wraps the task with the caller's
-  /// trace context and enqueues it.
-  void enqueue_locked(std::function<void()> task) DHYFD_REQUIRES(mu_);
 
   mutable Mutex mu_;
   CondVar not_empty_;  // workers wait: task available / stop
-  CondVar not_full_;   // producers wait: queue has room
   std::deque<std::function<void()>> queue_ DHYFD_GUARDED_BY(mu_);
-  const std::size_t max_queue_;
   bool stopping_ DHYFD_GUARDED_BY(mu_) = false;
   bool joined_ DHYFD_GUARDED_BY(mu_) = false;
   std::size_t busy_workers_ DHYFD_GUARDED_BY(mu_) = 0;

@@ -19,6 +19,7 @@
 #include "net/server.h"
 #include "obs/prometheus.h"
 #include "relation/csv.h"
+#include "relation/encoder.h"
 
 namespace dhyfd::net {
 namespace {
@@ -296,6 +297,41 @@ TEST(NetHttpEndpointTest, HealthzFlipsTo503WhileDraining) {
   b2->wait();
   rpc.join();
   closer.join();
+}
+
+TEST(NetRegisterTest, LiveNullEqualsNullUploadEncodesOnce) {
+  // A live null = null upload hands the registry the live store's initial
+  // codes, so it is encoded once; a live null != null upload's codes are
+  // not the registry's, so the registry encodes its own.
+  RawTable table = GenerateBenchmark("abalone", 120);
+  for (std::size_t row = 0; row < table.rows.size(); row += 7) {
+    table.rows[row][1] = "";
+  }
+  const Relation want =
+      EncodeRelation(table, NullSemantics::kNullEqualsNull).relation;
+  Stack stack;
+  BlockingClient client = stack.connect();
+  Histogram& encodes = stack.metrics.histogram(kObsDatasetEncodeSeconds);
+  for (std::uint8_t semantics : {0, 1}) {
+    SCOPED_TRACE("semantics " + std::to_string(semantics));
+    const std::string name = "live" + std::to_string(semantics);
+    const std::int64_t before = encodes.count();
+    client.register_dataset(name, WriteCsvString(table), /*live=*/true,
+                            semantics);
+    EXPECT_EQ(encodes.count() - before, semantics == 0 ? 0 : 1);
+    std::shared_ptr<const Relation> got =
+        stack.datasets.get(name, NullSemantics::kNullEqualsNull);
+    ASSERT_EQ(got->num_rows(), want.num_rows());
+    ASSERT_EQ(got->num_cols(), want.num_cols());
+    for (AttrId c = 0; c < want.num_cols(); ++c) {
+      EXPECT_EQ(got->column(c), want.column(c)) << "column " << c;
+      EXPECT_EQ(got->domain_size(c), want.domain_size(c)) << "column " << c;
+      for (RowId r = 0; r < want.num_rows(); ++r) {
+        ASSERT_EQ(got->is_null(r, c), want.is_null(r, c))
+            << "row " << r << " column " << c;
+      }
+    }
+  }
 }
 
 TEST(NetHttpEndpointTest, DisabledByDefault) {

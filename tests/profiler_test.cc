@@ -9,8 +9,10 @@
 #include "datagen/benchmark_data.h"
 #include "obs/obs.h"
 #include "obs/obs_schema.gen.h"
+#include "query/engine.h"
 #include "test_util.h"
 #include "util/cancellation.h"
+#include "util/thread_pool.h"
 
 namespace dhyfd {
 namespace {
@@ -52,23 +54,76 @@ TEST(ProfilerTest, FindsPlantedStructure) {
 
 TEST(ProfilerTest, AlgorithmsInterchangeable) {
   RawTable t = SmallTable();
-  ProfileOptions base;
-  base.canonicalize_and_rank = false;
-  ProfileReport ref = Profiler(base).profile(t);
+  ProfileReport ref = Profiler().profile(t);
   for (const std::string& name : AllDiscoveryNames()) {
-    ProfileOptions opt = base;
+    ProfileOptions opt;
     opt.algorithm = name;
     ProfileReport rep = Profiler(opt).profile(t);
     EXPECT_EQ(rep.discovery.fds.size(), ref.discovery.fds.size()) << name;
   }
 }
 
-TEST(ProfilerTest, DisablingStagesSkipsWork) {
-  ProfileOptions opt;
-  opt.canonicalize_and_rank = false;
-  ProfileReport rep = Profiler(opt).profile(SmallTable());
-  EXPECT_TRUE(rep.canonical.empty());
-  EXPECT_TRUE(rep.ranking.empty());
+TEST(ProfilerTest, QueryRunsAsTheDiscoveryStage) {
+  // With a query set, the engine is the discovery stage: the report carries
+  // exactly the engine's ranked answer, at any degree, plus that answer as
+  // the discovered cover, and the canonical and rank stages never run.
+  DiscoveryQuery top4;
+  top4.top_k = 4;
+  DiscoveryQuery bounded;
+  bounded.epsilon = 0.05;
+  bounded.max_lhs = 2;
+  ThreadPool pool(4);
+  for (const char* name : {"abalone", "ncvoter"}) {
+    const Relation r = EncodeRelation(GenerateBenchmark(name, 1000)).relation;
+    for (const DiscoveryQuery& query : {top4, bounded}) {
+      for (int degree : {1, 4}) {
+        const std::string label = std::string(name) + " top_k " +
+                                  std::to_string(query.top_k) + " degree " +
+                                  std::to_string(degree);
+        ProfileOptions opt;
+        opt.query = query;
+        opt.parallelism = degree;
+        opt.worker_pool = degree > 1 ? &pool : nullptr;
+        std::vector<ProfileStage> stages;
+        opt.stage_hook = [&stages](ProfileStage stage, double) {
+          stages.push_back(stage);
+        };
+        const ProfileReport rep = Profiler(opt).profile(r);
+        const QueryResult want =
+            QueryEngine({degree, opt.worker_pool}).execute(r, query);
+
+        ASSERT_TRUE(rep.query.has_value()) << label;
+        ASSERT_EQ(rep.query->fds.size(), want.fds.size()) << label;
+        for (size_t i = 0; i < want.fds.size(); ++i) {
+          EXPECT_EQ(rep.query->fds[i].fd, want.fds[i].fd) << label << " #" << i;
+          EXPECT_EQ(rep.query->fds[i].score, want.fds[i].score) << label;
+        }
+        EXPECT_EQ(rep.discovery.fds.fds, want.cover().fds) << label;
+        EXPECT_EQ(rep.discovery.stats.validations, want.stats.validations)
+            << label;
+        EXPECT_TRUE(rep.canonical.empty()) << label;
+        EXPECT_TRUE(rep.ranking.empty()) << label;
+        EXPECT_EQ(rep.dataset_redundancy.num_values, 0) << label;
+        EXPECT_FALSE(rep.cancelled) << label;
+        EXPECT_EQ(stages, std::vector<ProfileStage>{ProfileStage::kDiscover})
+            << label;
+
+        // A token fired before the run stops the engine at its first poll:
+        // the answer is empty, never partial.
+        CancelToken token;
+        token.cancel();
+        ProfileReport stopped;
+        {
+          CancelScope scope(&token);
+          stopped = Profiler(opt).profile(r);
+        }
+        EXPECT_TRUE(stopped.cancelled) << label;
+        ASSERT_TRUE(stopped.query.has_value()) << label;
+        EXPECT_TRUE(stopped.query->fds.empty()) << label;
+        EXPECT_TRUE(stopped.discovery.fds.empty()) << label;
+      }
+    }
+  }
 }
 
 TEST(ProfilerTest, StagesMatchDirectLayerCalls) {

@@ -11,7 +11,6 @@
 #include "core/profiler.h"
 #include "datagen/benchmark_data.h"
 #include "query/engine.h"
-#include "query/profile_query.h"
 #include "util/cancellation.h"
 
 namespace dhyfd {
@@ -174,19 +173,18 @@ TEST(ServiceTest, QueryJobsRunThroughScheduler) {
   JobScheduler scheduler(&datasets, &metrics, {.num_threads = 2});
   ProfileJob job;
   job.dataset = "aba";
-  auto slot = BindQueryToProfile(job.options, query);
-  job.options.canonicalize_and_rank = false;
+  job.options.query = query;
   JobHandlePtr handle = scheduler.submit(job);
   scheduler.wait_all();
 
   ASSERT_EQ(handle->state(), JobState::kDone) << handle->error();
   const ProfileReport& got = handle->report();
-  ASSERT_TRUE(slot->result.has_value());
-  ASSERT_EQ(slot->result->fds.size(), expected.fds.size());
+  ASSERT_TRUE(got.query.has_value());
+  ASSERT_EQ(got.query->fds.size(), expected.fds.size());
   for (size_t i = 0; i < expected.fds.size(); ++i) {
-    EXPECT_EQ(slot->result->fds[i].fd.to_string(),
+    EXPECT_EQ(got.query->fds[i].fd.to_string(),
               expected.fds[i].fd.to_string());
-    EXPECT_EQ(slot->result->fds[i].score, expected.fds[i].score);
+    EXPECT_EQ(got.query->fds[i].score, expected.fds[i].score);
   }
   // The ranked answer is also surfaced through the generic cover fields.
   EXPECT_EQ(CoverString(got.discovery.fds),
@@ -197,7 +195,7 @@ TEST(ServiceTest, QueryJobsRunThroughScheduler) {
   bad.dataset = "aba";
   DiscoveryQuery bad_query;
   bad_query.epsilon = 3.0;
-  auto bad_slot = BindQueryToProfile(bad.options, bad_query);
+  bad.options.query = bad_query;
   JobScheduler scheduler2(&datasets, &metrics, {.num_threads = 1});
   JobHandlePtr bad_handle = scheduler2.submit(bad);
   scheduler2.wait_all();
